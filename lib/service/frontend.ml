@@ -13,9 +13,11 @@
     - {!Conn}: one connection's executor. It gathers a whole read's
       worth of parsed commands (the pipelining win), expands them to
       flat op/key/value arrays bucketed per shard, submits one ring
-      {e chain} per shard ({!Service.try_submit_chain}), waits once per
-      chain, then formats every reply {e in command order} into one
-      output buffer flushed with a single write.
+      {e chain} per shard ({!Service.try_submit_chain}) — every shard's
+      chain before it waits on any, so the shards serve them
+      concurrently — waits once per chain, then formats every reply
+      {e in command order} into one output buffer flushed with a single
+      write.
 
     Protocol mapping — the service is an integer-keyed SET, not a KV
     cache, so the textual protocol is interpreted:
@@ -414,6 +416,7 @@ module Conn = struct
     sh_start : int array;
     sh_fill : int array;
     sh_ticket : int array;
+    sh_inflight : int array; (* length of the chain in flight per shard *)
     mutable b_ops : int array; (* shard-bucketed mirror of ops/keys/values *)
     mutable b_keys : int array;
     mutable b_values : int array;
@@ -439,6 +442,7 @@ module Conn = struct
       sh_start = Array.make shards 0;
       sh_fill = Array.make shards 0;
       sh_ticket = Array.make shards 0;
+      sh_inflight = Array.make shards 0;
       b_ops = Array.make 256 0;
       b_keys = Array.make 256 0;
       b_values = Array.make 256 0;
@@ -546,39 +550,52 @@ module Conn = struct
       t.b_slot.(i) <- j; (* remember where op i went for the scatter *)
       t.sh_fill.(s) <- j + 1
     done;
-    (* Submit and drain per shard, chunking long buckets into chains of
-       [max_chain]. Sequential per shard (submit chunk, await, harvest)
-       keeps at most one outstanding chain per shard — big buckets
-       still amortize [max_chain]-fold. *)
+    (* Rounds: submit every shard's next chunk of at most [max_chain]
+       (from [sh_start], which advances to the bucket's end [sh_fill]),
+       then await and harvest them all, so a round costs its slowest
+       chain rather than the sum. *)
     let max_chain = max_chain t in
-    for s = 0 to shards - 1 do
-      let start = t.sh_start.(s) and count = t.sh_count.(s) in
-      let off = ref start in
-      let remaining = ref count in
-      while !remaining > 0 do
-        let n = min !remaining max_chain in
-        let spins = ref 0 in
-        let ticket =
-          ref
-            (Service.try_submit_chain t.service ~shard:s ~n ~ops:t.b_ops
-               ~keys:t.b_keys ~values:t.b_values ~off:!off)
-        in
-        while !ticket < 0 do
-          (* ring full: the shard is draining; brief pause and retry *)
-          if !spins < 64 then begin
-            incr spins;
-            Domain.cpu_relax ()
-          end
-          else Unix.sleepf 0.0001;
-          ticket :=
-            Service.try_submit_chain t.service ~shard:s ~n ~ops:t.b_ops
-              ~keys:t.b_keys ~values:t.b_values ~off:!off
-        done;
-        Service.await_chain t.service ~shard:s ~ticket:!ticket ~n;
-        Service.harvest_chain t.service ~shard:s ~ticket:!ticket ~n
-          ~replies:t.b_replies ~off:!off;
-        off := !off + n;
-        remaining := !remaining - n
+    let left = ref t.nops in
+    while !left > 0 do
+      (* Ascending shard order keeps ring-full retries deadlock-free: a
+         connection blocked here on shard [s] holds unharvested chains
+         only on shards below [s]. So the slots of the highest ring any
+         connection is blocked on belong to connections past their
+         submits, which harvest them; by induction downward, every
+         blocked connection proceeds. *)
+      for s = 0 to shards - 1 do
+        let n = min (t.sh_fill.(s) - t.sh_start.(s)) max_chain in
+        t.sh_inflight.(s) <- n;
+        if n > 0 then begin
+          let spins = ref 0 in
+          let ticket =
+            ref
+              (Service.try_submit_chain t.service ~shard:s ~n ~ops:t.b_ops
+                 ~keys:t.b_keys ~values:t.b_values ~off:t.sh_start.(s))
+          in
+          while !ticket < 0 do
+            (* ring full: the shard is draining; brief pause and retry *)
+            if !spins < 64 then begin
+              incr spins;
+              Domain.cpu_relax ()
+            end
+            else Unix.sleepf 0.0001;
+            ticket :=
+              Service.try_submit_chain t.service ~shard:s ~n ~ops:t.b_ops
+                ~keys:t.b_keys ~values:t.b_values ~off:t.sh_start.(s)
+          done;
+          t.sh_ticket.(s) <- !ticket
+        end
+      done;
+      for s = 0 to shards - 1 do
+        let n = t.sh_inflight.(s) in
+        if n > 0 then begin
+          Service.await_chain t.service ~shard:s ~ticket:t.sh_ticket.(s) ~n;
+          Service.harvest_chain t.service ~shard:s ~ticket:t.sh_ticket.(s) ~n
+            ~replies:t.b_replies ~off:t.sh_start.(s);
+          t.sh_start.(s) <- t.sh_start.(s) + n;
+          left := !left - n
+        end
       done
     done;
     (* Scatter replies back to command order. *)

@@ -64,12 +64,24 @@
     crash takeover the same holds through the [Domain.join] edge: the
     replacement's completions happen-after everything the corpse wrote.
 
-    Blocking waits ({!await}, {!await_chain}) are adaptive: a short
-    phase of tight reads, then [Domain.cpu_relax], then exponential
-    sleep backoff — a pure spin on an oversubscribed host burns exactly
-    the timeslice the consumer needs. The phases are tallied into the
-    ring's {!stats} ([client_spins]/[client_backoffs]) so burned CPU is
-    a measured quantity, not noise.
+    {e Doorbells.} Neither side sleep-polls. An idle consumer parks on
+    the ring's bell ({!park_consumer}): it counts itself as a sleeper,
+    re-checks its cursor slot, and only then waits on the bell's
+    [Condition]; a producer that sees a sleeper counted after
+    publishing a request (or a chain's head) rings the bell. A client's
+    blocking wait ({!await}, {!await_chain}) does a short phase of
+    tight reads, then [Domain.cpu_relax], then parks on one of
+    [min capacity 64] {e lots} chosen by the slot it waits on;
+    {!complete} wakes that lot only when it completes a chain's last
+    slot (chain-remaining word [= 1], so every single submit too) and
+    the lot has sleepers. Both handshakes are store-then-load on
+    sequentially consistent atomics: each side stores its own word (the
+    sleeper count; the slot's sequence word) before loading the
+    other's, so at least one of them sees the other, and the waker
+    broadcasts under the same mutex the sleeper re-checks under, so the
+    wake-up cannot fall between re-check and wait. Spin iterations and
+    parks are tallied into the ring's {!stats}
+    ([client_spins]/[client_backoffs]).
 
     Submitting, serving, polling and cancelling allocate nothing ([-1]
     sentinels instead of options): the reply path of a request is a
@@ -77,6 +89,21 @@
 
 (* Payload words per slot. *)
 let stride = 7
+
+(* A place to sleep. A sleeper counts itself in [sleepers], then
+   re-checks its condition under [lock] before each wait; a waker makes
+   its own store first, then loads [sleepers] and broadcasts under
+   [lock] only if it is non-zero. *)
+type lot = { lock : Mutex.t; cond : Condition.t; sleepers : int Atomic.t }
+
+let new_lot () = { lock = Mutex.create (); cond = Condition.create (); sleepers = Atomic.make 0 }
+
+let wake lot =
+  Mutex.lock lot.lock;
+  Condition.broadcast lot.cond;
+  Mutex.unlock lot.lock
+
+let[@inline] wake_sleepers lot = if Atomic.get lot.sleepers > 0 then wake lot
 
 type t = {
   capacity : int;
@@ -89,7 +116,10 @@ type t = {
   generation : int Atomic.t; (* bumped by the recovery supervisor *)
   wait_stats : int Atomic.t array;
       (* spaced; [0] = client spins (relax iterations), [1] = client
-         backoffs (sleeps) — flushed once per completed blocking wait *)
+         parks — flushed once per completed blocking wait *)
+  bell : lot; (* the consumer's doorbell *)
+  lots : lot array; (* [min capacity 64] client lots, by [pos land lot_mask] *)
+  lot_mask : int;
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
@@ -113,6 +143,9 @@ let create ~capacity =
     tail = Atomic.make 0;
     generation = Atomic.make 0;
     wait_stats = Mp_util.Padding.atomic_int_array 2;
+    bell = new_lot ();
+    lots = Array.init (min capacity 64) (fun _ -> new_lot ());
+    lot_mask = min capacity 64 - 1;
   }
 
 let capacity t = t.capacity
@@ -133,6 +166,11 @@ let[@inline] generation t = Atomic.get t.generation
     happen after the dead consumer was joined and before the replacement
     consumer starts. *)
 let bump_generation t = Atomic.incr t.generation
+
+(** Ring the consumer's bell unconditionally: the shutdown path, after
+    raising its stop flag. (Producers ring it through
+    [wake_sleepers] after each publish.) *)
+let wake_consumer t = wake t.bell
 
 (* -- producers ----------------------------------------------------------- *)
 
@@ -157,6 +195,7 @@ let rec try_submit ?(deadline_us = 0) t ~op ~key ~value =
       t.payload.(b + 5) <- deadline_us;
       t.payload.(b + 6) <- 1;
       Atomic.set s (pos + 1);
+      wake_sleepers t.bell;
       pos
     end
     else try_submit ~deadline_us t ~op ~key ~value (* lost the ticket race *)
@@ -209,6 +248,7 @@ let rec try_submit_chain ?(deadline_us = 0) t ~n ~ops ~keys ~values ~off =
         t.payload.(b + 6) <- n - i;
         Atomic.set (seq_at t p) (p + 1)
       done;
+      wake_sleepers t.bell;
       pos
     end
     else try_submit_chain ~deadline_us t ~n ~ops ~keys ~values ~off
@@ -266,14 +306,21 @@ let[@inline] stamp t ~pos = t.payload.(base t pos + 4)
 let[@inline] deadline_us t ~pos = t.payload.(base t pos + 5)
 
 (** Publish the reply for the request at [pos] and hand the slot back to
-    its submitter. Returns [false] when the producer's {!cancel} won the
-    race instead — the reply is dropped, the slot is freed here (the
-    canceller never touches it again), and the consumer simply moves
-    on. *)
+    its submitter, waking the submitter's lot when [pos] ends its chain.
+    Returns [false] when the producer's {!cancel} won the race instead —
+    the reply is dropped, the slot is freed here (the canceller never
+    touches it again), and the consumer simply moves on. *)
 let[@inline] complete t ~pos reply =
-  t.payload.(base t pos + 3) <- reply;
+  let b = base t pos in
+  t.payload.(b + 3) <- reply;
+  (* Read before the CAS: once the slot is completed its submitter may
+     ack it and a next-lap producer rewrite the payload. *)
+  let chain_end = t.payload.(b + 6) = 1 in
   let s = seq_at t pos in
-  if Atomic.compare_and_set s (pos + 1) (pos + 2) then true
+  if Atomic.compare_and_set s (pos + 1) (pos + 2) then begin
+    if chain_end then wake_sleepers t.lots.(pos land t.lot_mask);
+    true
+  end
   else begin
     (* Only cancel takes submitted → cancelled; free the slot. *)
     Atomic.set s (pos + t.capacity);
@@ -282,6 +329,35 @@ let[@inline] complete t ~pos reply =
 
 (** Free a {!cancelled} slot at the cursor position. *)
 let[@inline] discard t ~pos = Atomic.set (seq_at t pos) (pos + t.capacity)
+
+(* Has the slot at the cursor left the free state — submitted or
+   cancelled, the two states the consumer acts on? *)
+let[@inline] arrived t ~pos =
+  let v = Atomic.get (seq_at t pos) in
+  v = pos + 1 || v = pos + 3
+
+(** Park the consumer on the ring's bell until the slot at its cursor
+    [pos] is submitted or cancelled, or [stop] is set; returns whether
+    it slept. A producer publishing concurrently either is seen by the
+    re-check or sees the consumer counted on the bell and rings (see
+    {!type-lot}). [stop] must be set before the bell is rung
+    ({!wake_consumer}). *)
+let park_consumer t ~pos ~stop =
+  let b = t.bell in
+  Atomic.incr b.sleepers;
+  Mutex.lock b.lock;
+  let slept = ref false in
+  while not (arrived t ~pos || Atomic.get stop) do
+    slept := true;
+    Condition.wait b.cond b.lock
+  done;
+  Mutex.unlock b.lock;
+  Atomic.decr b.sleepers;
+  !slept
+
+(** Is the consumer parked (or parking)? Its heartbeat stops while it
+    is, so a liveness monitor must count it as live. *)
+let consumer_parked t = Atomic.get t.bell.sleepers > 0
 
 (** How many requests remain in the contiguous chain starting at the
     cursor position (inclusive): [1] for a single submit, [n - i] at the
@@ -316,53 +392,58 @@ let harvest_chain t ~ticket ~n ~replies ~off =
     Atomic.set (seq_at t p) (p + t.capacity)
   done
 
-(* -- adaptive blocking waits ---------------------------------------------- *)
+(* -- blocking waits ------------------------------------------------------ *)
 
 (* Wait phases: [spin_reads] tight re-reads, then [relax_budget]
-   iterations of [Domain.cpu_relax], then exponential sleep backoff from
-   [backoff_base_s] doubling to [backoff_cap_s]. On an oversubscribed
-   host (shards + clients > cores) the sleep phase is what yields the
-   timeslice the consumer needs to make progress. *)
+   iterations of [Domain.cpu_relax], then a park on the slot's lot. A
+   reply that lands within the spin phases costs no system call; past
+   them the waiter yields its core to the shard it is waiting on. *)
 let spin_reads = 64
 let relax_budget = 512
-let backoff_base_s = 0.000001
-let backoff_cap_s = 0.001
 
-(* Wait until the slot holding [ticket]'s *last-slot* position reaches
-   [target]; tally relax iterations and sleeps into [wait_stats]. *)
+(* Park on [pos]'s lot until the slot word [s] reads [target], which
+   {!complete} stores before it rings the lot; returns whether the
+   waiter slept. *)
+let park_client t ~pos s ~target =
+  let lot = t.lots.(pos land t.lot_mask) in
+  Atomic.incr lot.sleepers;
+  Mutex.lock lot.lock;
+  let slept = ref false in
+  while Atomic.get s <> target do
+    slept := true;
+    Condition.wait lot.cond lot.lock
+  done;
+  Mutex.unlock lot.lock;
+  Atomic.decr lot.sleepers;
+  !slept
+
+(* Wait until the chain-ending slot at [pos] reaches [target]; tally
+   relax iterations and parks into [wait_stats]. *)
 let wait_seq t ~pos ~target =
   let s = seq_at t pos in
   let rec tight i =
-    if Atomic.get s = target then (0, 0)
+    if Atomic.get s = target then 0
     else if i > 0 then tight (i - 1)
     else relax 0
   and relax r =
-    if Atomic.get s = target then (r, 0)
+    if Atomic.get s = target then r
     else if r < relax_budget then begin
       Domain.cpu_relax ();
       relax (r + 1)
     end
-    else backoff r 0 backoff_base_s
-  and backoff r b d =
-    if Atomic.get s = target then (r, b)
     else begin
-      Unix.sleepf d;
-      backoff r (b + 1) (Float.min (d *. 2.) backoff_cap_s)
+      if park_client t ~pos s ~target then
+        ignore (Atomic.fetch_and_add t.wait_stats.(Mp_util.Padding.spaced_index 1) 1 : int);
+      r
     end
   in
-  let relaxes, sleeps = tight spin_reads in
-  if relaxes > 0 then begin
-    let c = t.wait_stats.(Mp_util.Padding.spaced_index 0) in
-    Atomic.set c (Atomic.get c + relaxes)
-  end;
-  if sleeps > 0 then begin
-    let c = t.wait_stats.(Mp_util.Padding.spaced_index 1) in
-    Atomic.set c (Atomic.get c + sleeps)
-  end
+  let relaxes = tight spin_reads in
+  if relaxes > 0 then
+    ignore (Atomic.fetch_and_add t.wait_stats.(Mp_util.Padding.spaced_index 0) relaxes : int)
 
 (** Block until [ticket] is completed and return its reply (acking the
-    slot): {!poll} with the adaptive spin → [cpu_relax] → sleep-backoff
-    wait. The submitting client is the only legal caller. *)
+    slot): {!poll} with the spin → [cpu_relax] → park wait. The
+    submitting client is the only legal caller. *)
 let await t ~ticket =
   wait_seq t ~pos:ticket ~target:(ticket + 2);
   let r = t.payload.(base t ticket + 3) in
@@ -380,13 +461,11 @@ let await_chain t ~ticket ~n =
 
 type stats = {
   client_spins : int;  (** [Domain.cpu_relax] iterations inside waits *)
-  client_backoffs : int;  (** sleeps taken inside waits *)
+  client_backoffs : int;  (** times a waiter parked on its lot *)
 }
 
-(** Cumulative wait tallies. The counters are updated with plain
-    read-modify-write (flushed once per blocking wait); under concurrent
-    waiters they are low-loss approximations, good enough for the
-    burned-CPU telemetry they exist for. *)
+(** Cumulative wait tallies, exact under concurrent waiters (each
+    blocking wait adds its counts with one [fetch_and_add]). *)
 let stats t =
   {
     client_spins = Atomic.get t.wait_stats.(Mp_util.Padding.spaced_index 0);

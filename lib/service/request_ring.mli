@@ -26,8 +26,9 @@ val bump_generation : t -> unit
 
 (** {2 Producers (any domain)} *)
 
-(** Claim a slot and publish a request: returns a ticket [>= 0], or
-    [-1] when the ring is full. [deadline_us] is an absolute deadline
+(** Claim a slot and publish a request (ringing the consumer's bell if
+    it is parked): returns a ticket [>= 0], or [-1] when the ring is
+    full. [deadline_us] is an absolute deadline
     in integer microseconds, [0] = none; the consumer sheds requests it
     picks up past their deadline (answering busy) instead of executing
     them. *)
@@ -80,10 +81,12 @@ val chain_done : t -> ticket:int -> n:int -> bool
     Only after {!chain_done} is [true] / {!await_chain} returned. *)
 val harvest_chain : t -> ticket:int -> n:int -> replies:int array -> off:int -> unit
 
-(** {2 Adaptive blocking waits}
+(** {2 Blocking waits}
 
-    Tight reads, then [Domain.cpu_relax], then exponential sleep
-    backoff (1 µs doubling, 1 ms cap) — tallied into {!stats}. *)
+    Tight reads, then [Domain.cpu_relax], then a park on one of
+    [min capacity 64] lots chosen by the awaited slot; {!complete}
+    wakes the lot when it completes a chain's last slot (every single
+    submit included) and the lot has waiters. Tallied into {!stats}. *)
 
 (** Block until [ticket] completes; returns the reply and acks the slot
     (a blocking {!poll}). *)
@@ -97,10 +100,10 @@ val await_chain : t -> ticket:int -> n:int -> unit
 
 type stats = {
   client_spins : int;  (** [cpu_relax] iterations inside blocking waits *)
-  client_backoffs : int;  (** sleeps taken inside blocking waits *)
+  client_backoffs : int;  (** times a blocking wait parked on its lot *)
 }
 
-(** Cumulative (approximate under concurrent waiters). *)
+(** Cumulative; exact under concurrent waiters. *)
 val stats : t -> stats
 
 (** {2 The consumer (the single shard domain)}
@@ -132,10 +135,29 @@ val deadline_us : t -> pos:int -> int
     {!op}. *)
 val chain_len : t -> pos:int -> int
 
-(** Publish the reply and hand the slot back to its submitter. [false]
-    when a racing {!cancel} won: the reply was dropped and the slot
-    freed here; the consumer just advances. *)
+(** Publish the reply and hand the slot back to its submitter, waking
+    the submitter's lot if [pos] ends its chain. [false] when a racing
+    {!cancel} won: the reply was dropped and the slot freed here; the
+    consumer just advances. *)
 val complete : t -> pos:int -> int -> bool
 
 (** Free a {!cancelled} slot. *)
 val discard : t -> pos:int -> unit
+
+(** {2 The consumer's doorbell} *)
+
+(** Park until the slot at cursor [pos] is submitted or cancelled, or
+    [stop] is set; [true] if the consumer slept. Counts itself on the
+    bell before re-checking the slot, so a concurrent publish is either
+    seen or rings the bell. Set [stop] before ringing with
+    {!wake_consumer}. *)
+val park_consumer : t -> pos:int -> stop:bool Atomic.t -> bool
+
+(** Is the consumer parked (or parking)? Its heartbeat stops while it
+    is. *)
+val consumer_parked : t -> bool
+
+(** Ring the bell unconditionally (producers ring it themselves when
+    they see the consumer parked); the shutdown path calls it after
+    raising the stop flag. *)
+val wake_consumer : t -> unit

@@ -49,9 +49,12 @@
     non-execution (unlike {!reply_rejected}, which is ambiguous: the
     crash may have landed mid-operation).
 
-    Single-core friendliness: every wait in this module (and in
-    {!Loadgen}) briefly spins then sleeps, because on an oversubscribed
-    host a pure spin burns exactly the timeslice the peer needs. *)
+    Wake-ups are event-driven: an idle shard spins briefly, then parks
+    on its ring's doorbell ({!Request_ring.park_consumer}) until a
+    producer or {!stop} rings it, and a client's blocking wait parks on
+    the ring lot its reply slot maps to. Nothing on the request path
+    sleep-polls, and a parked shard gives its core to the domains that
+    have work. *)
 
 module Padding = Mp_util.Padding
 
@@ -89,15 +92,6 @@ let reply_busy = 4
     collide with the status codes above. *)
 let reply_mget_base = 5
 
-(* -- spin-then-sleep ----------------------------------------------------- *)
-
-let[@inline] pause spins =
-  if !spins < 64 then begin
-    incr spins;
-    Domain.cpu_relax ()
-  end
-  else Unix.sleepf 0.0001
-
 (* -- the service --------------------------------------------------------- *)
 
 (** Heartbeat value a crashing worker leaves behind; live beats count
@@ -110,6 +104,10 @@ let dead_hb = -1
    pool at max_arenas with nothing in flight, {!Mempool.Core.last_alloc_hard})
    skips the schedule: waiting cannot produce an arena. *)
 let oom_retries = 32
+
+(* [cpu_relax] rounds an idle shard spins on its cursor slot before it
+   parks on the ring's doorbell. *)
+let idle_spins = 64
 
 (** Elastic-pool autoscale policy ({!create}'s [?autoscale]): a policy
     domain samples the pool's live count every [sample_interval_s],
@@ -387,7 +385,11 @@ let create ?recovery ?autoscale (type a) (module SET : Dstruct.Set_intf.SET with
         end
         else serve_batch ()
       end
-      else pause spins
+      else if !spins < idle_spins then begin
+        incr spins;
+        Domain.cpu_relax ()
+      end
+      else ignore (Request_ring.park_consumer ring ~pos:!pos ~stop : bool)
     done;
     (* Crash exit racing [stop], or a clean stop: requests submitted
        before the stop flag landed must still be answered, or their
@@ -543,7 +545,10 @@ let supervise t st () =
       if v = dead_hb then recover t st shard
       else begin
         let now = Unix.gettimeofday () in
-        if v <> last_beat.(shard) then begin
+        (* A parked shard's heartbeat stops until a request rings it
+           awake, and the park has no timeout: idle is live. *)
+        if v <> last_beat.(shard) || Request_ring.consumer_parked t.rings.(shard)
+        then begin
           last_beat.(shard) <- v;
           last_change.(shard) <- now;
           flagged.(shard) <- false
@@ -620,6 +625,9 @@ let start t =
 
 let stop t =
   Atomic.set t.stop true;
+  (* The flag is set before the bells ring: a shard that re-checks
+     under its bell's mutex after the ring sees it. *)
+  Array.iter Request_ring.wake_consumer t.rings;
   (match t.scaler with
   | Some d ->
     Domain.join d;
@@ -666,11 +674,11 @@ let[@inline] poll t ~shard ~ticket = Request_ring.poll t.rings.(shard) ~ticket
     reply if the shard completed first. *)
 let[@inline] cancel t ~shard ~ticket = Request_ring.cancel t.rings.(shard) ~ticket
 
-(** Blocking reply wait — the ring's adaptive spin → [cpu_relax] →
-    sleep-backoff wait ({!Request_ring.await}), tallied in
-    {!stats.client_spins} / {!stats.client_backoffs}. Only meaningful
-    while the service is running: shards answer every submitted request
-    before they exit, so this cannot hang across a clean [stop]. *)
+(** Blocking reply wait — the ring's spin → [cpu_relax] → park wait
+    ({!Request_ring.await}), tallied in {!stats.client_spins} /
+    {!stats.client_backoffs}. Only meaningful while the service is
+    running: shards answer every submitted request before they exit, so
+    this cannot hang across a clean [stop]. *)
 let await t ~shard ~ticket = Request_ring.await t.rings.(shard) ~ticket
 
 (* -- post-run statistics ------------------------------------------------- *)
@@ -688,7 +696,7 @@ type stats = {
   crash_events : int; (* shard crashes over the run (recovered or not) *)
   crashed_shards : int; (* shards dead right now (unrecovered) *)
   client_spins : int; (* cpu_relax iterations inside client await waits *)
-  client_backoffs : int; (* sleeps taken inside client await waits *)
+  client_backoffs : int; (* times a client await wait parked *)
   live_peak : int; (* pool live-count high-water mark over the run *)
   arenas_attached : int; (* elastic pool: arenas attached under load *)
   arenas_detached : int; (* elastic pool: arena detaches completed *)

@@ -89,8 +89,9 @@ val create :
 (** Spawn the shard domains (and the supervisor, if configured). *)
 val start : t -> unit
 
-(** Stop and join the supervisor and shards. Requests still in flight
-    are answered ({!reply_rejected}) before the shards exit, so
+(** Stop and join the supervisor and shards: raise the stop flag, then
+    ring every ring's doorbell so parked shards wake. Requests still in
+    flight are answered ({!reply_rejected}) before the shards exit, so
     concurrent awaiters terminate; submissions racing past [stop] may
     remain unanswered — stop clients first. *)
 val stop : t -> unit
@@ -141,8 +142,8 @@ val chain_done : t -> shard:int -> ticket:int -> n:int -> bool
 val harvest_chain :
   t -> shard:int -> ticket:int -> n:int -> replies:int array -> off:int -> unit
 
-(** Block (adaptive spin-then-backoff) until the whole chain
-    completes. *)
+(** Block (spin, then park on the reply slot's ring lot) until the
+    whole chain completes. *)
 val await_chain : t -> shard:int -> ticket:int -> n:int -> unit
 
 (** Reply code [>= 0], or [-1] while pending (frees the slot when it
@@ -156,8 +157,8 @@ val poll : t -> shard:int -> ticket:int -> int
     cancel then acted as the final poll). *)
 val cancel : t -> shard:int -> ticket:int -> int
 
-(** Blocking {!poll} — adaptive spin → [cpu_relax] → sleep backoff,
-    tallied in {!type-stats}. *)
+(** Blocking {!poll} — spin → [cpu_relax] → park on the reply slot's
+    ring lot, tallied in {!type-stats}. *)
 val await : t -> shard:int -> ticket:int -> int
 
 (** {2 Post-run statistics} (read after {!stop}) *)
@@ -175,7 +176,7 @@ type stats = {
   crash_events : int; (* shard crashes over the run (recovered or not) *)
   crashed_shards : int; (* shards dead right now (unrecovered) *)
   client_spins : int; (* cpu_relax iterations inside client await waits *)
-  client_backoffs : int; (* sleeps taken inside client await waits *)
+  client_backoffs : int; (* times a client await wait parked *)
   live_peak : int; (* pool live-count high-water mark over the run *)
   arenas_attached : int; (* elastic pool: arenas attached under load *)
   arenas_detached : int; (* elastic pool: arena detaches completed *)

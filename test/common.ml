@@ -159,3 +159,17 @@ let suite_for (name : string) (make : (module Smr_core.Smr_intf.S) -> (module Ds
           ] );
       ])
     schemes
+
+(* Run [f] in its own domain and fail the test if it has not returned
+   after [seconds]: a lost wake-up hangs instead of failing, and this
+   turns the hang into a failure. A timed-out domain is left behind;
+   the test process exits without joining it. *)
+let within_deadline ~seconds what f =
+  let finished = Atomic.make false in
+  let d = Domain.spawn (fun () -> Fun.protect ~finally:(fun () -> Atomic.set finished true) f) in
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < seconds do
+    Unix.sleepf 0.001
+  done;
+  if not (Atomic.get finished) then Alcotest.failf "%s did not finish within %.1f s" what seconds;
+  Domain.join d

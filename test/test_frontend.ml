@@ -278,6 +278,86 @@ let conn_large_burst () =
   Alcotest.(check string) "all hits" expect (Buffer.contents (Conn.out conn));
   Alcotest.(check int) "no use-after-free" 0 (SET.violations set)
 
+(* A random pipelined burst over keys [base, base + 24) and the exact
+   bytes a sequential model of the set answers it with. Every op of a
+   key lands on that key's shard in command order, so the overlapped
+   per-shard chains must reproduce the sequential answer byte for byte.
+   [mget] is left out: its keys span shards, so its order against a
+   write to another shard in the same burst is not defined. *)
+let burst rng model ~base ~ncmds =
+  let input = Buffer.create 1024 and expect = Buffer.create 1024 in
+  let key () = base + Mp_util.Rng.below rng 24 in
+  let hit k =
+    let s = string_of_int k in
+    Printf.sprintf "VALUE %s 0 %d\r\n%s\r\n" s (String.length s) s
+  in
+  for _ = 1 to ncmds do
+    match Mp_util.Rng.below rng 8 with
+    | 0 | 1 | 2 ->
+      let k = key () in
+      let noreply = Mp_util.Rng.below rng 8 = 0 in
+      let s = string_of_int k in
+      Printf.bprintf input "set %d 0 0 %d%s\r\n%s\r\n" k (String.length s)
+        (if noreply then " noreply" else "") s;
+      let stored = not (Hashtbl.mem model k) in
+      if stored then Hashtbl.replace model k ();
+      if not noreply then Buffer.add_string expect (if stored then "STORED\r\n" else "NOT_STORED\r\n")
+    | 3 | 4 ->
+      let k = key () in
+      Printf.bprintf input "delete %d\r\n" k;
+      let found = Hashtbl.mem model k in
+      Hashtbl.remove model k;
+      Buffer.add_string expect (if found then "DELETED\r\n" else "NOT_FOUND\r\n")
+    | _ ->
+      let ks = List.init (1 + Mp_util.Rng.below rng 3) (fun _ -> key ()) in
+      Printf.bprintf input "get %s\r\n" (String.concat " " (List.map string_of_int ks));
+      List.iter (fun k -> if Hashtbl.mem model k then Buffer.add_string expect (hit k)) ks;
+      Buffer.add_string expect "END\r\n"
+  done;
+  (Buffer.contents input, Buffer.contents expect)
+
+(* Ring capacity 8 caps a chain at 4 ops, so a burst of 60 commands
+   takes several overlapped rounds per shard. One connection must match
+   the sequential model exactly; two connection domains bursting at once
+   (disjoint keys, small rings, so ring-full retries happen) must both
+   match and both finish. *)
+let conn_overlapped ~shards () =
+  let threads = shards in
+  let (module SET : Dstruct.Set_intf.SET) =
+    Mp_harness.Instances.make Mp_harness.Instances.Hash_ds (module Mp.Margin_ptr)
+  in
+  let set = SET.create ~threads ~capacity:65_536 ~check_access:true (Smr_core.Config.default ~threads) in
+  let svc = Service.create (module SET) set ~shards ~batch:4 ~ring_capacity:8 in
+  Service.start svc;
+  Fun.protect ~finally:(fun () -> Service.stop svc) @@ fun () ->
+  let run_conn ~seed ~base ~bursts =
+    let conn = Conn.create svc in
+    let rng = Mp_util.Rng.create seed in
+    let model = Hashtbl.create 32 in
+    let mismatches = ref 0 in
+    for _ = 1 to bursts do
+      let input, expect = burst rng model ~base ~ncmds:60 in
+      feed_ok (Conn.parser conn) input;
+      ignore (Conn.pump conn : int);
+      if Buffer.contents (Conn.out conn) <> expect then incr mismatches
+    done;
+    !mismatches
+  in
+  let solo = ref (-1) in
+  Common.within_deadline ~seconds:30.0 "one connection" (fun () ->
+      solo := run_conn ~seed:(0xb0 + shards) ~base:0 ~bursts:20);
+  Alcotest.(check int) "one connection: every burst matches the sequential model" 0 !solo;
+  let pair = Array.make 2 (-1) in
+  Common.within_deadline ~seconds:30.0 "two connection domains" (fun () ->
+      let ds =
+        Array.init 2 (fun c ->
+            Domain.spawn (fun () ->
+                pair.(c) <- run_conn ~seed:(0xc0 + (10 * shards) + c) ~base:(1000 * (c + 1)) ~bursts:40))
+      in
+      Array.iter Domain.join ds);
+  Alcotest.(check (array int)) "two connections: both match their models" [| 0; 0 |] pair;
+  Alcotest.(check int) "no use-after-free" 0 (SET.violations set)
+
 let () =
   Alcotest.run "frontend"
     [
@@ -296,5 +376,7 @@ let () =
         [
           Alcotest.test_case "pipelined replies, exact bytes" `Slow conn_round;
           Alcotest.test_case "chunked chains on a large burst" `Slow conn_large_burst;
+          Alcotest.test_case "overlapped chains, ring 8, 2 shards" `Slow (conn_overlapped ~shards:2);
+          Alcotest.test_case "overlapped chains, ring 8, 3 shards" `Slow (conn_overlapped ~shards:3);
         ] );
     ]

@@ -330,6 +330,25 @@ let service_no_faults_no_recoveries () =
   Alcotest.(check int) "no recoveries" 0 r.Recovery.recoveries;
   Alcotest.(check int) "pool untouched" 1 r.Recovery.free_tids
 
+(* A parked shard's heartbeat stops, and its park has no timeout: the
+   supervisor must count parking as live, or every idle shard reads as
+   stalled after [stall_timeout_s]. *)
+let service_idle_not_suspected () =
+  let shards = 2 and spare_tids = 1 in
+  let threads = shards + spare_tids in
+  let (module SET : Dstruct.Set_intf.SET) =
+    Mp_harness.Instances.make Mp_harness.Instances.Hash_ds (module Smr_schemes.Hp)
+  in
+  let set = SET.create ~threads ~capacity:4096 (Config.default ~threads) in
+  let cfg = { Recovery.default with spare_tids } in
+  let svc = Service.create ~recovery:cfg (module SET) set ~shards ~batch:8 ~ring_capacity:64 in
+  Service.start svc;
+  Unix.sleepf (2. *. cfg.Recovery.stall_timeout_s);
+  Common.within_deadline ~seconds:1.0 "Service.stop" (fun () -> Service.stop svc);
+  let r = Option.get (Service.recovery_stats svc) in
+  Alcotest.(check int) "idle shards are live" 0 r.Recovery.suspected;
+  Alcotest.(check int) "no recoveries" 0 r.Recovery.recoveries
+
 (* -- QCheck: random crash/stall plans through crash→adopt→respawn --------- *)
 
 let qcheck_round seed =
@@ -425,6 +444,8 @@ let () =
             service_crash_recovers_chained;
           Alcotest.test_case "no faults: supervisor stays idle" `Slow
             service_no_faults_no_recoveries;
+          Alcotest.test_case "idle parked shards are not suspected" `Quick
+            service_idle_not_suspected;
         ] );
       ("faults", [ QCheck_alcotest.to_alcotest ~long:true qcheck_recovery ]);
     ]

@@ -299,15 +299,100 @@ let ring_await_stats () =
   let t = Ring.try_submit r ~op:0 ~key:1 ~value:0 in
   let d =
     Domain.spawn (fun () ->
-        Unix.sleepf 0.005;
+        Unix.sleepf 0.02;
         ignore (Ring.complete r ~pos:t 42 : bool))
   in
   Alcotest.(check int) "await returns the reply" 42 (Ring.await r ~ticket:t);
   Domain.join d;
   let st = Ring.stats r in
-  Alcotest.(check bool) "adaptive wait tallied" true
-    (st.Ring.client_spins + st.Ring.client_backoffs > 0);
-  Alcotest.(check bool) "5 ms pushed past the spin phases" true (st.Ring.client_backoffs > 0)
+  Alcotest.(check int) "spin phase ran to its budget" 512 st.Ring.client_spins;
+  Alcotest.(check int) "20 ms pushed the waiter onto its lot, once" 1 st.Ring.client_backoffs;
+  (* a reply already there costs neither a spin nor a park *)
+  let t = Ring.try_submit r ~op:0 ~key:2 ~value:0 in
+  ignore (Ring.complete r ~pos:t 43 : bool);
+  Alcotest.(check int) "completed reply" 43 (Ring.await r ~ticket:t);
+  let st' = Ring.stats r in
+  Alcotest.(check (pair int int)) "no new tallies" (512, 1)
+    (st'.Ring.client_spins, st'.Ring.client_backoffs)
+
+(* The park protocol under a seeded multi-producer stress. Producers
+   submit single requests and chains with random gaps, so the consumer
+   runs dry and parks on the ring's bell; the consumer stalls at random
+   before completing, so reply waiters run out of spin phases and park
+   on their lots. A lost wake-up on either side hangs the run, which
+   the deadline turns into a failure. *)
+let ring_park_stress () =
+  let producers = 3 and rounds = 2000 and max_chain = 4 in
+  let r = Ring.create ~capacity:16 in
+  let stop = Atomic.make false in
+  let seen = Array.make producers 0 in
+  let replied = Array.make producers 0 in
+  let bad = Atomic.make 0 in
+  let consumer_parks = ref 0 in
+  Common.within_deadline ~seconds:60.0 "park stress" (fun () ->
+      let consumer =
+        Domain.spawn (fun () ->
+            let rng = Mp_util.Rng.create 0x9a4c in
+            let pos = ref 0 in
+            while not (Atomic.get stop) do
+              if Ring.ready r ~pos:!pos then begin
+                if Mp_util.Rng.below rng 16 = 0 then
+                  Unix.sleepf (float_of_int (Mp_util.Rng.below rng 500) *. 1e-6);
+                let key = Ring.key r ~pos:!pos and tid = Ring.op r ~pos:!pos in
+                seen.(tid) <- seen.(tid) + 1;
+                ignore (Ring.complete r ~pos:!pos (key + 1) : bool);
+                incr pos
+              end
+              else if Ring.park_consumer r ~pos:!pos ~stop then incr consumer_parks
+            done)
+      in
+      let prods =
+        Array.init producers (fun tid ->
+            Domain.spawn (fun () ->
+                let rng = Mp_util.Rng.create (0x7e11 + tid) in
+                let ops = Array.make max_chain tid in
+                let keys = Array.make max_chain 0 in
+                let replies = Array.make max_chain 0 in
+                for round = 1 to rounds do
+                  if Mp_util.Rng.bool rng then
+                    Unix.sleepf (float_of_int (Mp_util.Rng.below rng 300) *. 1e-6);
+                  let n = 1 + Mp_util.Rng.below rng max_chain in
+                  for i = 0 to n - 1 do
+                    keys.(i) <- (tid * 1_000_000) + (round * 10) + i
+                  done;
+                  let submit () =
+                    if n = 1 then Ring.try_submit r ~op:tid ~key:keys.(0) ~value:0
+                    else Ring.try_submit_chain r ~n ~ops ~keys ~values:keys ~off:0
+                  in
+                  let ticket = ref (submit ()) in
+                  while !ticket < 0 do
+                    Domain.cpu_relax ();
+                    ticket := submit ()
+                  done;
+                  if n = 1 then replies.(0) <- Ring.await r ~ticket:!ticket
+                  else begin
+                    Ring.await_chain r ~ticket:!ticket ~n;
+                    Ring.harvest_chain r ~ticket:!ticket ~n ~replies ~off:0
+                  end;
+                  for i = 0 to n - 1 do
+                    if replies.(i) <> keys.(i) + 1 then Atomic.incr bad
+                  done;
+                  replied.(tid) <- replied.(tid) + n
+                done))
+      in
+      Array.iter Domain.join prods;
+      (* every producer has its replies, so the consumer has nothing
+         left; the stop handshake must wake it from its park *)
+      Atomic.set stop true;
+      Ring.wake_consumer r;
+      Domain.join consumer);
+  Alcotest.(check int) "every reply routed to its own slot" 0 (Atomic.get bad);
+  for tid = 0 to producers - 1 do
+    Alcotest.(check int) (Printf.sprintf "producer %d: served exactly once" tid) replied.(tid)
+      seen.(tid)
+  done;
+  Alcotest.(check bool) "the consumer parked" true (!consumer_parks > 0);
+  Alcotest.(check bool) "a reply waiter parked" true ((Ring.stats r).Ring.client_backoffs > 0)
 
 (* Multi-producer chained no-lost/no-dup: random chain depths, blocking
    chained submits, coalesced awaits. The consumer is the same
@@ -561,6 +646,20 @@ let mempool_live_peak () =
   Mempool.Core.free pool ~tid:0 id;
   Alcotest.(check int) "smaller crest keeps the peak" 10 (Mempool.Core.live_peak pool)
 
+(* An idle service parks every shard on its ring's bell; [stop] must
+   ring them awake rather than wait for a request that never comes. *)
+let service_idle_stop () =
+  let shards = 3 in
+  let (module SET : Dstruct.Set_intf.SET) = make_hash (module Mp.Margin_ptr) in
+  let set = SET.create ~threads:shards ~capacity:4096 (Config.default ~threads:shards) in
+  let svc = Service.create (module SET) set ~shards ~batch:8 ~ring_capacity:64 in
+  Service.start svc;
+  let t = Service.try_submit svc ~shard:1 ~op:Service.op_insert ~key:5 ~value:5 in
+  Alcotest.(check int) "served before idling" Service.reply_true (Service.await svc ~shard:1 ~ticket:t);
+  (* 64 cpu_relax rounds then park: 0.2 s is idle far beyond that *)
+  Unix.sleepf 0.2;
+  Common.within_deadline ~seconds:1.0 "Service.stop on parked shards" (fun () -> Service.stop svc)
+
 (* -- suites --------------------------------------------------------------- *)
 
 let () =
@@ -579,6 +678,8 @@ let () =
           Alcotest.test_case "chain of 1 = per-slot protocol" `Quick ring_chain_one_equals_single;
           Alcotest.test_case "await tallies spins and backoffs" `Quick ring_await_stats;
           Alcotest.test_case "chained no lost, no dup (3 producers)" `Slow ring_chain_no_lost_no_dup;
+          Alcotest.test_case "park/wake stress: both sides park, nothing lost" `Slow
+            ring_park_stress;
         ] );
       ( "service",
         [
@@ -586,6 +687,7 @@ let () =
             (service_round (make_hash (module Mp.Margin_ptr)) ~shards:2 ~batch:8 ~mget:4
                ~mode:(Loadgen.Closed { pipeline = 8 }) ~duration:0.25);
           Alcotest.test_case "multi-get replies and window rollover" `Quick mget_reply;
+          Alcotest.test_case "stop wakes parked shards" `Quick service_idle_stop;
           Alcotest.test_case "chained closed loop, hash × mp, B=8, chain=8" `Slow
             (service_round (make_hash (module Mp.Margin_ptr)) ~chain:8 ~shards:2 ~batch:8
                ~mode:(Loadgen.Closed { pipeline = 8 }) ~duration:0.25);
