@@ -457,10 +457,9 @@ let micro () =
 (* Thread A allocs, thread B frees: every slot crosses the global free
    list twice (B spills, A refills), the worst case for the transfer
    path. Hand-off between the pair moves whole batches through an SPSC
-   ring so the pipe itself costs ~nothing per slot and the pool transfer
-   dominates. Chained vs per-slot isolates exactly the CAS-per-chain vs
-   CAS-per-slot difference the magazine batching buys. *)
-let run_pipe ~pairs ~transfer ~duration =
+   ring so the pipe itself costs ~nothing per slot and the pool's
+   chain-per-CAS transfer dominates. *)
+let run_pipe ~pairs ~duration =
   let threads = 2 * pairs in
   let fair_share = 1024 in
   (* Deep ring: a blocked side sleeps (yielding the core) rather than
@@ -468,7 +467,7 @@ let run_pipe ~pairs ~transfer ~duration =
      timeslice's worth of slots for the running side to chew through. *)
   let ring_cap = 128 and batch_len = 2048 in
   let capacity = pairs * (((ring_cap + 4) * batch_len) + (4 * fair_share)) in
-  let pool = Mempool.Core.create ~capacity ~threads ~transfer ~fair_share () in
+  let pool = Mempool.Core.create ~capacity ~threads ~fair_share () in
   let stop = Atomic.make false in
   let barrier = Atomic.make 0 in
   let ops = Array.make (Mp_util.Padding.spaced_length threads) 0 in
@@ -649,34 +648,27 @@ let pipe () =
   let rows =
     List.map
       (fun pairs ->
-        let measure transfer scheme =
-          (* Scheduler noise on an oversubscribed host is the dominant
-             variance source; give the pipe a slightly longer window than
-             the quick-scale default. *)
-          let total_ops, throughput, alloc_words, promoted, minor_gcs =
-            run_pipe ~pairs ~transfer ~duration:(Float.max duration_s 0.7)
-          in
-          let r =
-            note ~ds:"mempool" ~scheme
-              (pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs)
-          in
-          (r.Runner.throughput, r.Runner.alloc_words_per_op)
+        (* Scheduler noise on an oversubscribed host is the dominant
+           variance source; give the pipe a slightly longer window than
+           the quick-scale default. *)
+        let total_ops, throughput, alloc_words, promoted, minor_gcs =
+          run_pipe ~pairs ~duration:(Float.max duration_s 0.7)
         in
-        let chained, chained_alloc = measure Mempool.Chained "chained" in
-        let per_slot, _ = measure Mempool.Per_slot "per_slot" in
+        let r =
+          note ~ds:"mempool" ~scheme:"chained"
+            (pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs)
+        in
         [
           string_of_int (2 * pairs);
-          Report.fmt_throughput chained;
-          Report.fmt_throughput per_slot;
-          Printf.sprintf "%.2fx" (chained /. per_slot);
-          Report.fmt_words_per_op chained_alloc;
+          Report.fmt_throughput r.Runner.throughput;
+          Report.fmt_words_per_op r.Runner.alloc_words_per_op;
         ])
       [ 1; 2; 4 ]
   in
   Report.table
     ~title:
       "Pipe: alloc/free producer-consumer pairs through the global free list (allocs+frees/s)"
-    ~header:[ "threads"; "chained"; "per-slot"; "speedup"; "self words/op" ]
+    ~header:[ "threads"; "chained"; "self words/op" ]
     rows
 
 (* -- Alloc: read-path allocation telemetry ------------------------------- *)
@@ -992,7 +984,7 @@ let service_shards : int option ref = ref None
    folded into a Runner.result so the service rows share the JSON schema
    (and the latency/waste fields) with every other experiment; fields
    the service cannot measure per-domain (GC words) report 0. *)
-let run_service ?zipf ?(mget = 1) ?(chain = 1) ?(clients = 2) ds sname ~shards
+let run_service ?zipf ?(mget = 1) ?(clients = 2) ds sname ~shards
     ~batch ~mode ~read_pct ~insert_pct ~init_size =
   let module Service = Mp_service.Service in
   let module Loadgen = Mp_service.Loadgen in
@@ -1036,7 +1028,6 @@ let run_service ?zipf ?(mget = 1) ?(chain = 1) ?(clients = 2) ds sname ~shards
         mode;
         deadline_s = 0.0;
         max_retries = 0;
-        chain;
       }
   in
   Service.stop svc;
@@ -1049,10 +1040,10 @@ let run_service ?zipf ?(mget = 1) ?(chain = 1) ?(clients = 2) ds sname ~shards
       Runner.spec_threads = shards;
       mix_name =
         Printf.sprintf "svc_%s_%dr%di%s%s_B%d"
-          (match mode with Loadgen.Closed _ -> "closed" | Loadgen.Open _ -> "open")
+          (match mode with Loadgen.Open _ -> "open" | Loadgen.Closed _ | Loadgen.Chained _ -> "closed")
           read_pct insert_pct
           (if mget > 1 then Printf.sprintf "_m%d" mget else "")
-          (if chain > 1 then Printf.sprintf "_c%d" chain else "")
+          (match mode with Loadgen.Chained { chain } -> Printf.sprintf "_c%d" chain | _ -> "")
           batch;
       total_ops = lg.Loadgen.completed;
       throughput = lg.Loadgen.throughput;
@@ -1244,7 +1235,6 @@ let run_elastic sname =
         mode = Loadgen.Open { rate; window = 32 };
         deadline_s = 0.0;
         max_retries = 0;
-        chain = 1;
       }
   in
   let spike_s = if full then 2.0 else 0.8 in
@@ -1357,18 +1347,20 @@ let transport_socket path =
   let module Loadgen = Mp_service.Loadgen in
   let run chain =
     let lg =
-      Loadgen.run_socket
+      Loadgen.run_socket ~path
         {
-          Loadgen.sock_path = path;
-          sock_clients = 2;
-          sock_duration_s = Float.max duration_s 1.0;
-          sock_warmup_s = Float.min !warmup 0.2;
-          sock_read_pct = 90;
-          sock_insert_pct = 5;
-          sock_mget = 1;
-          sock_key_range = 8192;
-          sock_seed = 0xBEEF;
-          sock_chain = chain;
+          Loadgen.clients = 2;
+          duration_s = Float.max duration_s 1.0;
+          warmup_s = Float.min !warmup 0.2;
+          read_pct = 90;
+          insert_pct = 5;
+          mget = 1;
+          key_range = 8192;
+          zipf_alpha = None;
+          seed = 0xBEEF;
+          mode = Loadgen.Chained { chain };
+          deadline_s = 0.0;
+          max_retries = 0;
         }
     in
     let r =
@@ -1432,31 +1424,32 @@ let transport_socket path =
     ~header:[ "pipeline"; "ops/s"; "ns/op"; "errors"; "p50"; "p99"; "p99.9" ]
     rows
 
-(* In-process: the chained-ring sweep the tentpole is about. Single-key
-   read-heavy closed loop at 8 clients, chain depth x batch ceiling:
-   chain=1 is exactly the PR 5 per-slot ring (the baseline the >= 3x
-   acceptance bar measures against), and the 16-key multi-get row is the
-   amortization reference the chained transport must approach. *)
+(* In-process: the chained-ring sweep. Single-key read-heavy closed loop
+   at 8 clients, chain depth x batch ceiling: chain=1 is a window of
+   1-chains (the baseline the chained rows are measured against), and
+   the 16-key multi-get row is the amortization reference the chained
+   transport must approach. *)
 let transport_inproc () =
   let read_pct = 98 and insert_pct = 1 in
   let init_size = if full then 1_024 else 512 in
   let shards = match !service_shards with Some n -> n | None -> 2 in
   let clients = 8 in
   let run sname ~chain ~batch =
-    (* chain=1 keeps a deep per-slot pipeline (requests in flight is
-       what that path has instead of chains); chained clients keep one
-       chain of [chain] in flight per round. *)
+    (* chain=1 keeps a window of 8 1-chains in flight (requests in
+       flight is what that path has instead of chains); chained clients
+       run one batch of [chain] per round through [Service.execute]. *)
     let mode =
-      Mp_service.Loadgen.Closed { pipeline = (if chain > 1 then chain else 8) }
+      if chain > 1 then Mp_service.Loadgen.Chained { chain }
+      else Mp_service.Loadgen.Closed { pipeline = 8 }
     in
-    run_service Instances.Hash_ds sname ~shards ~batch ~zipf:0.99 ~mode ~chain
-      ~clients ~read_pct ~insert_pct ~init_size
+    run_service Instances.Hash_ds sname ~shards ~batch ~zipf:0.99 ~mode ~clients
+      ~read_pct ~insert_pct ~init_size
   in
   let rows =
     List.concat_map
       (fun sname ->
         (* PR 5's in-process amortization reference: 16-key multi-gets
-           over the per-slot ring. *)
+           from a window of 1-chains. *)
         let mget_ref, _ =
           run_service Instances.Hash_ds sname ~shards ~batch:32 ~zipf:0.99
             ~mget:16
@@ -1490,7 +1483,7 @@ let transport_inproc () =
   Report.table
     ~title:
       (Printf.sprintf
-         "Transport: chained ring submit/drain, hash 98r1i Zipf(0.99) single-key (%d clients, %d shards; chain=1 = per-slot ring)"
+         "Transport: chained ring submit/drain, hash 98r1i Zipf(0.99) single-key (%d clients, %d shards; chain=1 = window of 1-chains)"
          clients shards)
     ~header:
       [ "scheme"; "chain"; "B=1"; "B=32"; "B spdup"; "ns/op";

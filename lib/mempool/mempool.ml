@@ -56,9 +56,8 @@
     single-arena pools never mix and keep the one-CAS spill). Refill scans
     arenas lowest-first, concentrating load in low arenas so high arenas
     go idle and become drainable. Slots are linked through side arrays, so
-    free lists and chains allocate nothing. The legacy per-slot transfer
-    survives as [Per_slot] (chains of length one) so the batching win
-    stays measurable (`bench/main.exe pipe`). *)
+    free lists and chains allocate nothing (`bench/main.exe pipe`
+    measures the transfer path). *)
 
 exception Exhausted
 
@@ -66,11 +65,6 @@ exception Exhausted
 let state_free = 0
 let state_live = 1
 let state_retired = 2
-
-(** Granularity of traffic through the global free lists: [Chained] moves
-    whole [fair_share]-length chains per CAS; [Per_slot] is the legacy
-    one-CAS-per-slot Treiber stack, kept for comparison benchmarks. *)
-type transfer = Chained | Per_slot
 
 module Core = struct
   (* Magazine arena tags: which arena the magazine's slots belong to.
@@ -160,7 +154,6 @@ module Core = struct
   type t = {
     capacity : int; (* slots per arena *)
     threads : int;
-    transfer : transfer;
     max_arenas : int;
     elastic : bool;
         (* [max_arenas > 1]. A fixed pool can never grow or drain, so
@@ -223,6 +216,29 @@ module Core = struct
     let top' = top_pack ~version:(top_version top + 1) ~id_plus1:(head + 1) in
     if not (Atomic.compare_and_set a.top top top') then arena_push_chain t a ~head ~tail ~len
 
+  (* Publish slots one at a time as [fair_share]-length chains on arena
+     [a]'s stack: [iter add] calls [add id] once per slot, which links it
+     into the chain under construction and pushes the chain when full.
+     Seeding, an arena attach and a parked-list rescue publish through
+     this, so every chain on a stack has a spill's length. *)
+  let push_chains t a iter =
+    let head = ref (-1) and tail = ref (-1) and len = ref 0 in
+    let flush () =
+      if !len > 0 then begin
+        arena_push_chain t a ~head:!head ~tail:!tail ~len:!len;
+        head := -1;
+        tail := -1;
+        len := 0
+      end
+    in
+    iter (fun id ->
+        a.stack_next.(off_of t id) <- !head;
+        if !head < 0 then tail := id;
+        head := id;
+        incr len;
+        if !len >= t.fair_share then flush ());
+    flush ()
+
   (* Pop a whole chain; returns its head or -1. [chain_len]/[chain_tail]
      at the head stay valid for the winner: they are only rewritten by the
      next push of that head, which requires winning it first. Reading
@@ -246,29 +262,15 @@ module Core = struct
      cancellation (see [park]): whoever exchanges the list owns its
      slots, so each slot is re-published exactly once. *)
   let rescue_parked t a =
-    let chain_cap = match t.transfer with Chained -> t.fair_share | Per_slot -> 1 in
-    let id = ref (Atomic.exchange a.parked_top 0 - 1) in
     let rescued = ref 0 in
-    let chain_head = ref (-1) and chain_tail = ref (-1) and chain_len = ref 0 in
-    let flush_chain () =
-      if !chain_len > 0 then begin
-        arena_push_chain t a ~head:!chain_head ~tail:!chain_tail ~len:!chain_len;
-        chain_head := -1;
-        chain_tail := -1;
-        chain_len := 0
-      end
-    in
-    while !id >= 0 do
-      let next = a.stack_next.(off_of t !id) in
-      a.stack_next.(off_of t !id) <- !chain_head;
-      if !chain_head < 0 then chain_tail := !id;
-      chain_head := !id;
-      incr chain_len;
-      incr rescued;
-      if !chain_len >= chain_cap then flush_chain ();
-      id := next
-    done;
-    flush_chain ();
+    push_chains t a (fun add ->
+        let id = ref (Atomic.exchange a.parked_top 0 - 1) in
+        while !id >= 0 do
+          let next = a.stack_next.(off_of t !id) in
+          add !id;
+          incr rescued;
+          id := next
+        done);
     if !rescued > 0 then ignore (Atomic.fetch_and_add a.parked (- !rescued) : int)
 
   (* Route one free slot of a draining arena out of circulation. The
@@ -303,9 +305,9 @@ module Core = struct
 
   (* -- spill --------------------------------------------------------------- *)
 
-  (* Publish a chain known to hold only arena [head lsr off_bits] slots:
-     one CAS when chained, one per slot in the legacy mode. A chain of a
-     draining arena leaves circulation instead. *)
+  (* Publish a chain known to hold only arena [head lsr off_bits] slots
+     with one CAS. A chain of a draining arena leaves circulation
+     instead. *)
   let spill_chain t ~head ~tail ~len =
     let a = arena_of t head in
     if t.elastic && drain_arena (Atomic.get t.draining) = head lsr t.off_bits then begin
@@ -316,17 +318,7 @@ module Core = struct
         id := next
       done
     end
-    else
-      match t.transfer with
-      | Chained -> arena_push_chain t a ~head ~tail ~len
-      | Per_slot ->
-        let id = ref head in
-        while !id >= 0 do
-          let next = a.stack_next.(off_of t !id) in
-          a.stack_next.(off_of t !id) <- -1;
-          arena_push_chain t a ~head:!id ~tail:!id ~len:1;
-          id := next
-        done
+    else arena_push_chain t a ~head ~tail ~len
 
   (* Spill a magazine. Homogeneous (the overwhelmingly common case, and
      the only case for a single-arena pool): one chain push. Mixed:
@@ -395,8 +387,7 @@ module Core = struct
       parked = Atomic.make 0;
     }
 
-  let create ~capacity ~threads ?(transfer = Chained) ?fair_share ?(check_access = false)
-      ?(max_arenas = 1) () =
+  let create ~capacity ~threads ?fair_share ?(check_access = false) ?(max_arenas = 1) () =
     if capacity > Handle.max_id then invalid_arg "Mempool.create: capacity too large";
     if capacity < threads then invalid_arg "Mempool.create: capacity < threads";
     if max_arenas < 1 then invalid_arg "Mempool.create: max_arenas must be >= 1";
@@ -424,7 +415,6 @@ module Core = struct
       {
         capacity;
         threads;
-        transfer;
         max_arenas;
         elastic = max_arenas > 1;
         off_bits;
@@ -474,35 +464,19 @@ module Core = struct
        still unreachable until that thread spills, so [Exhausted] is a
        per-thread-visibility condition, not a global-emptiness one. *)
     let seeded = ref 0 in
-    let chain_head = ref (-1) and chain_tail = ref (-1) and chain_len = ref 0 in
-    let chain_cap = match transfer with Chained -> fair_share | Per_slot -> 1 in
-    let flush_chain () =
-      if !chain_len > 0 then begin
-        arena_push_chain t arena0 ~head:!chain_head ~tail:!chain_tail ~len:!chain_len;
-        chain_head := -1;
-        chain_tail := -1;
-        chain_len := 0
-      end
-    in
-    for id = capacity - 1 downto 0 do
-      let l = t.locals.(!seeded mod threads) in
-      if l.count < t.fair_share && !seeded < threads * t.fair_share then begin
-        arena0.stack_next.(id) <- l.head;
-        if l.head < 0 then l.tail <- id;
-        l.head <- id;
-        l.count <- l.count + 1;
-        l.arena <- 0;
-        incr seeded
-      end
-      else begin
-        arena0.stack_next.(id) <- !chain_head;
-        if !chain_head < 0 then chain_tail := id;
-        chain_head := id;
-        incr chain_len;
-        if !chain_len >= chain_cap then flush_chain ()
-      end
-    done;
-    flush_chain ();
+    push_chains t arena0 (fun add ->
+        for id = capacity - 1 downto 0 do
+          let l = t.locals.(!seeded mod threads) in
+          if l.count < t.fair_share && !seeded < threads * t.fair_share then begin
+            arena0.stack_next.(id) <- l.head;
+            if l.head < 0 then l.tail <- id;
+            l.head <- id;
+            l.count <- l.count + 1;
+            l.arena <- 0;
+            incr seeded
+          end
+          else add id
+        done);
     t
 
   let capacity t = t.capacity
@@ -549,25 +523,10 @@ module Core = struct
       end
     in
     t.grow_hook k;
-    let chain_cap = match t.transfer with Chained -> t.fair_share | Per_slot -> 1 in
-    let chain_head = ref (-1) and chain_tail = ref (-1) and chain_len = ref 0 in
-    let flush_chain () =
-      if !chain_len > 0 then begin
-        arena_push_chain t a ~head:!chain_head ~tail:!chain_tail ~len:!chain_len;
-        chain_head := -1;
-        chain_tail := -1;
-        chain_len := 0
-      end
-    in
-    for off = a.size - 1 downto 0 do
-      let id = base + off in
-      a.stack_next.(off) <- !chain_head;
-      if !chain_head < 0 then chain_tail := id;
-      chain_head := id;
-      incr chain_len;
-      if !chain_len >= chain_cap then flush_chain ()
-    done;
-    flush_chain ();
+    push_chains t a (fun add ->
+        for off = a.size - 1 downto 0 do
+          add (base + off)
+        done);
     ignore (Atomic.fetch_and_add t.resident a.size : int);
     Atomic.incr t.grows;
     (* Publish last: threads iterate stacks [0, attached). *)
@@ -1005,11 +964,9 @@ type 'a t = {
   off_mask : int;
 }
 
-let create ~capacity ~threads ?(transfer = Chained) ?fair_share ?(check_access = false)
-    ?(max_arenas = 1) make_payload =
-  let core =
-    Core.create ~capacity ~threads ~transfer ?fair_share ~check_access ~max_arenas ()
-  in
+let create ~capacity ~threads ?fair_share ?(check_access = false) ?(max_arenas = 1)
+    make_payload =
+  let core = Core.create ~capacity ~threads ?fair_share ~check_access ~max_arenas () in
   let off_bits = Core.off_bits core in
   let payloads = Array.make max_arenas [||] in
   payloads.(0) <- Array.init capacity make_payload;

@@ -22,12 +22,6 @@ val state_free : int
 val state_live : int
 val state_retired : int
 
-(** Granularity of traffic through the arena free lists: [Chained]
-    (default) moves whole [fair_share]-length chains with one CAS;
-    [Per_slot] is the legacy one-CAS-per-slot Treiber stack, kept so the
-    batching win stays measurable. *)
-type transfer = Chained | Per_slot
-
 (** Payload-agnostic layer: slot states, free lists, arena lifecycle and
     the per-node metadata words SMR schemes piggyback on nodes (MP index,
     birth and death epochs). *)
@@ -46,7 +40,6 @@ module Core : sig
   val create :
     capacity:int ->
     threads:int ->
-    ?transfer:transfer ->
     ?fair_share:int ->
     ?check_access:bool ->
     ?max_arenas:int ->
@@ -222,14 +215,13 @@ end
     such slots unreachable from correct clients). *)
 type 'a t
 
-(** [create ~capacity ~threads ?transfer ?fair_share ?check_access
+(** [create ~capacity ~threads ?fair_share ?check_access
     ?max_arenas make_payload] pre-allocates arena 0's [capacity] payloads
     with [make_payload slot_id]; later arenas allocate theirs on
     attach. *)
 val create :
   capacity:int ->
   threads:int ->
-  ?transfer:transfer ->
   ?fair_share:int ->
   ?check_access:bool ->
   ?max_arenas:int ->

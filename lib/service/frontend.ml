@@ -12,10 +12,10 @@
       and keep going.
     - {!Conn}: one connection's executor. It gathers a whole read's
       worth of parsed commands (the pipelining win), expands them to
-      flat op/key/value arrays bucketed per shard, submits one ring
-      {e chain} per shard ({!Service.try_submit_chain}) — every shard's
-      chain before it waits on any, so the shards serve them
-      concurrently — waits once per chain, then formats every reply
+      flat op/key/value arrays, runs them through the service's
+      shard-batch executor ({!Service.execute}: one ring {e chain} per
+      shard, every shard's chain submitted before it waits on any, so
+      the shards serve them concurrently), then formats every reply
       {e in command order} into one output buffer flushed with a single
       write.
 
@@ -400,7 +400,7 @@ module Conn = struct
     | P_version
 
   type t = {
-    service : Service.t;
+    client : Service.client;
     parser : Parser.t;
     out : Buffer.t;
     mutable cmds : pending array;
@@ -411,24 +411,12 @@ module Conn = struct
     mutable values : int array;
     mutable replies : int array;
     mutable nops : int;
-    (* per-shard chain bucketing, rebuilt per batch *)
-    sh_count : int array;
-    sh_start : int array;
-    sh_fill : int array;
-    sh_ticket : int array;
-    sh_inflight : int array; (* length of the chain in flight per shard *)
-    mutable b_ops : int array; (* shard-bucketed mirror of ops/keys/values *)
-    mutable b_keys : int array;
-    mutable b_values : int array;
-    mutable b_replies : int array;
-    mutable b_slot : int array; (* bucket index of op i *)
     mutable closed : bool;
   }
 
   let create service =
-    let shards = Service.shards service in
     {
-      service;
+      client = Service.client service;
       parser = Parser.create ();
       out = Buffer.create 8192;
       cmds = Array.make 64 P_unknown;
@@ -438,16 +426,6 @@ module Conn = struct
       values = Array.make 256 0;
       replies = Array.make 256 0;
       nops = 0;
-      sh_count = Array.make shards 0;
-      sh_start = Array.make shards 0;
-      sh_fill = Array.make shards 0;
-      sh_ticket = Array.make shards 0;
-      sh_inflight = Array.make shards 0;
-      b_ops = Array.make 256 0;
-      b_keys = Array.make 256 0;
-      b_values = Array.make 256 0;
-      b_replies = Array.make 256 0;
-      b_slot = Array.make 256 0;
       closed = false;
     }
 
@@ -464,12 +442,7 @@ module Conn = struct
       t.ops <- grow t.ops n;
       t.keys <- grow t.keys n;
       t.values <- grow t.values n;
-      t.replies <- grow t.replies n;
-      t.b_ops <- grow t.b_ops n;
-      t.b_keys <- grow t.b_keys n;
-      t.b_values <- grow t.b_values n;
-      t.b_replies <- grow t.b_replies n;
-      t.b_slot <- grow t.b_slot n
+      t.replies <- grow t.replies n
     end
 
   let push_cmd t c =
@@ -518,90 +491,6 @@ module Conn = struct
     | Parser.Unknown -> push_cmd t P_unknown
     | Parser.Version -> push_cmd t P_version
     | Parser.Quit -> t.closed <- true
-
-  (* Longest chain submitted at once: a chain must stay under the
-     ring's capacity/2, and 64 amortizes deeply enough; take whichever
-     binds for this service's rings. *)
-  let max_chain t = min 64 (Service.ring_capacity t.service / 2)
-
-  (* Execute the queued ops: counting-sort them into per-shard buckets,
-     submit each bucket as chains of at most [max_chain], coalesced-wait
-     per chain, harvest, then scatter replies back to command order. *)
-  let execute t =
-    let shards = Service.shards t.service in
-    Array.fill t.sh_count 0 shards 0;
-    for i = 0 to t.nops - 1 do
-      let s = Service.shard_of_key t.service t.keys.(i) in
-      t.b_slot.(i) <- s;
-      t.sh_count.(s) <- t.sh_count.(s) + 1
-    done;
-    let acc = ref 0 in
-    for s = 0 to shards - 1 do
-      t.sh_start.(s) <- !acc;
-      t.sh_fill.(s) <- !acc;
-      acc := !acc + t.sh_count.(s)
-    done;
-    for i = 0 to t.nops - 1 do
-      let s = t.b_slot.(i) in
-      let j = t.sh_fill.(s) in
-      t.b_ops.(j) <- t.ops.(i);
-      t.b_keys.(j) <- t.keys.(i);
-      t.b_values.(j) <- t.values.(i);
-      t.b_slot.(i) <- j; (* remember where op i went for the scatter *)
-      t.sh_fill.(s) <- j + 1
-    done;
-    (* Rounds: submit every shard's next chunk of at most [max_chain]
-       (from [sh_start], which advances to the bucket's end [sh_fill]),
-       then await and harvest them all, so a round costs its slowest
-       chain rather than the sum. *)
-    let max_chain = max_chain t in
-    let left = ref t.nops in
-    while !left > 0 do
-      (* Ascending shard order keeps ring-full retries deadlock-free: a
-         connection blocked here on shard [s] holds unharvested chains
-         only on shards below [s]. So the slots of the highest ring any
-         connection is blocked on belong to connections past their
-         submits, which harvest them; by induction downward, every
-         blocked connection proceeds. *)
-      for s = 0 to shards - 1 do
-        let n = min (t.sh_fill.(s) - t.sh_start.(s)) max_chain in
-        t.sh_inflight.(s) <- n;
-        if n > 0 then begin
-          let spins = ref 0 in
-          let ticket =
-            ref
-              (Service.try_submit_chain t.service ~shard:s ~n ~ops:t.b_ops
-                 ~keys:t.b_keys ~values:t.b_values ~off:t.sh_start.(s))
-          in
-          while !ticket < 0 do
-            (* ring full: the shard is draining; brief pause and retry *)
-            if !spins < 64 then begin
-              incr spins;
-              Domain.cpu_relax ()
-            end
-            else Unix.sleepf 0.0001;
-            ticket :=
-              Service.try_submit_chain t.service ~shard:s ~n ~ops:t.b_ops
-                ~keys:t.b_keys ~values:t.b_values ~off:t.sh_start.(s)
-          done;
-          t.sh_ticket.(s) <- !ticket
-        end
-      done;
-      for s = 0 to shards - 1 do
-        let n = t.sh_inflight.(s) in
-        if n > 0 then begin
-          Service.await_chain t.service ~shard:s ~ticket:t.sh_ticket.(s) ~n;
-          Service.harvest_chain t.service ~shard:s ~ticket:t.sh_ticket.(s) ~n
-            ~replies:t.b_replies ~off:t.sh_start.(s);
-          t.sh_start.(s) <- t.sh_start.(s) + n;
-          left := !left - n
-        end
-      done
-    done;
-    (* Scatter replies back to command order. *)
-    for i = 0 to t.nops - 1 do
-      t.replies.(i) <- t.b_replies.(t.b_slot.(i))
-    done
 
   let add_reply_error out r =
     if r = Service.reply_oom then Buffer.add_string out "SERVER_ERROR out of memory\r\n"
@@ -671,7 +560,7 @@ module Conn = struct
     done
 
   (** Process everything the parser can yield from its buffered bytes:
-      parse, execute (chained per shard), and render the replies into
+      parse, execute ({!Service.execute}), and render the replies into
       [out t] — the caller writes that buffer to the socket in one
       flush and clears it. Returns the number of commands processed
       (0 = need more bytes). *)
@@ -685,7 +574,11 @@ module Conn = struct
       | Some c -> add t c
       | None -> continue := false
     done;
-    if t.nops > 0 then execute t;
+    if t.nops > 0 then
+      ignore
+        (Service.execute t.client ~n:t.nops ~ops:t.ops ~keys:t.keys ~values:t.values
+           ~replies:t.replies
+          : int);
     if t.ncmds > 0 then render t;
     t.ncmds
 end

@@ -66,9 +66,9 @@ module Conn : sig
   (** The peer sent [quit]. *)
   val closed : t -> bool
 
-  (** Parse everything buffered, execute the ops as per-shard ring
-      chains (one submit CAS + one coalesced wait per chain), render
-      every reply in command order into [out t]. Returns the number of
-      commands processed (0 = feed more bytes). *)
+  (** Parse everything buffered, execute the ops through
+      {!Service.execute} (one ring chain per shard), render every reply
+      in command order into [out t]. Returns the number of commands
+      processed (0 = feed more bytes). *)
   val pump : t -> int
 end

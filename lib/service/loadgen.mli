@@ -1,8 +1,12 @@
-(** Closed-loop and open-loop (Poisson) load generator for {!Service},
-    recording end-to-end latency into a merged log-bucket histogram
+(** Closed-loop, open-loop (Poisson) and chained load generator for
+    {!Service} — in process, or over an [mpserver] socket — recording
+    end-to-end latency into a merged log-bucket histogram
     (p50/p99/p99.9/max via {!Mp_util.Histogram.percentile_ns}), with
     optional per-request deadlines, idempotence-aware retries and
-    backpressure telemetry. *)
+    backpressure telemetry. The closed and open loops keep a window of
+    1-chains ({!Service.try_submit_chain} at [n = 1]) reaped
+    oldest-first; the chained mode runs batches through
+    {!Service.execute}. *)
 
 type mode =
   | Closed of { pipeline : int }
@@ -12,6 +16,12 @@ type mode =
           at most [window] outstanding; un-submittable arrivals are
           counted as drops, and latency is measured from the scheduled
           arrival time (coordinated-omission correction). *)
+  | Chained of { chain : int }
+      (** Rounds of [chain] requests, each run through
+          {!Service.execute} (one ring chain per shard, split at half a
+          ring, one coalesced wait per chain). No client-side retries
+          or cancels (wire deadlines still shed busy server-side);
+          latency is one sample per round. *)
 
 type spec = {
   clients : int;
@@ -41,15 +51,6 @@ type spec = {
           exponential backoff, 20 µs doubling capped at 1 ms; retries
           keep the original [t0] and never start past the run clock or
           the request deadline. *)
-  chain : int;
-      (** Closed loop only (ignored by [Open]): when [> 1], each round
-          submits this many requests as per-shard {e chains}
-          ({!Service.try_submit_chain} — one tail CAS and one coalesced
-          reply wait per chain) instead of per-slot submit/poll. [1] is
-          exactly the per-slot path. Chain mode disables client-side
-          retries and cancels (wire deadlines still shed busy
-          server-side); latency records one sample per round; must be
-          at most half the ring capacity. *)
 }
 
 type result = {
@@ -65,7 +66,7 @@ type result = {
   oom : int; (* pool-exhaustion refusals in the window *)
   drops : int; (* open loop: arrivals that could not be submitted *)
   deadline_exceeded : int; (* overdue tickets abandoned via cancel *)
-  ring_full : int; (* try_submit calls that found the ring full *)
+  ring_full : int; (* submits that found a ring full *)
   retries : int; (* resubmissions (not counted in [submitted]) *)
   elapsed_s : float; (* the measured window (duration - warmup) *)
   throughput : float; (* completed / elapsed_s *)
@@ -73,7 +74,9 @@ type result = {
 }
 
 (** Run against a started service; blocks until done. [?tick] runs
-    every ~2 ms on the calling thread (watchdog sampler hook). *)
+    every ~2 ms on the calling thread (watchdog sampler hook). An
+    exception raised in a client domain is re-raised here once every
+    client has finished. *)
 val run : ?tick:(unit -> unit) -> Service.t -> spec -> result
 
 (** {2 Socket mode}
@@ -81,24 +84,13 @@ val run : ?tick:(unit -> unit) -> Service.t -> spec -> result
     Drive a running [mpserver] over the memcached-text byte protocol
     ({!Frontend}) instead of the in-process rings: per client, one
     Unix-domain connection running a closed loop of pipelined batches
-    of [sock_chain] commands (one write, replies drained to their
-    terminal lines). Tallies map onto {!result}: each terminal is a
-    completed request ([HITS] counts [sock_mget] operations),
-    [SERVER_ERROR out of memory] an [oom], other error lines
-    [rejected]; latency is one sample per batch; [busy]/[drops]/
-    [deadline_exceeded]/[ring_full]/[retries] stay 0. *)
-
-type socket_spec = {
-  sock_path : string; (* Unix-domain socket path of a running mpserver *)
-  sock_clients : int;
-  sock_duration_s : float;
-  sock_warmup_s : float;
-  sock_read_pct : int;
-  sock_insert_pct : int; (* remainder = deletes *)
-  sock_mget : int; (* reads become [mget <key> <n>] when > 1 *)
-  sock_key_range : int;
-  sock_seed : int;
-  sock_chain : int; (* commands pipelined per batch *)
-}
-
-val run_socket : socket_spec -> result
+    of [chain] commands (one write, replies drained to their terminal
+    lines). Takes the in-process [spec]; its mode must be
+    [Chained { chain }], and [deadline_s]/[max_retries] are not used.
+    Tallies map onto {!result}: each terminal is a completed request
+    ([HITS] counts [mget] operations), [SERVER_ERROR out of memory] an
+    [oom], [SERVER_ERROR busy] a [busy], other error lines [rejected];
+    latency is one sample per batch; [drops]/[deadline_exceeded]/
+    [ring_full]/[retries] stay 0. Raises [Invalid_argument] for a
+    [Closed] or [Open] mode. *)
+val run_socket : path:string -> spec -> result

@@ -15,14 +15,16 @@
                        consumer discards the slot when its cursor arrives
       [pos + capacity] acked — free for the next lap
 
-    Producers claim a ticket with one CAS on the tail word; everything
-    after that is wait-free for the claimant. The consumer owns its
-    cursor and advances it privately, reading each slot's payload only
-    after observing [pos + 1] in the sequence word. The submitted →
-    completed and submitted → cancelled transitions race (a client may
-    abandon a request the consumer is just taking), so both sides take
-    that edge with a CAS on the sequence word — whoever wins owns the
-    slot's fate, and the loser backs off through the winner's state.
+    Every submission is a {e chain} of [n >= 1] requests: a producer
+    claims [n] consecutive tickets with one CAS on the tail word;
+    everything after that is wait-free for the claimant. The consumer
+    owns its cursor and advances it privately, reading each slot's
+    payload only after observing [pos + 1] in the sequence word. The
+    submitted → completed and submitted → cancelled transitions race (a
+    client may abandon a request the consumer is just taking), so both
+    sides take that edge with a CAS on the sequence word — whoever wins
+    owns the slot's fate, and the loser backs off through the winner's
+    state. Only a chain of one (a 1-chain) may be cancelled.
     [capacity >= 4] keeps [pos + 3] distinct from [pos + capacity].
 
     Each slot additionally records the ring {e generation} it was
@@ -43,15 +45,14 @@
     producer spinning on its reply does not steal the line the consumer
     is completing a neighbouring slot through.
 
-    {e Chains.} A producer may claim [n] consecutive slots with a single
-    tail CAS ({!try_submit_chain}) — the magazine idiom of the mempool's
-    chain-batched free list, applied to requests. The chain's slots are
-    published in {e reverse} order, head last, so a consumer that
-    observes the head submitted observes the whole chain submitted and
-    can drain it in one wakeup; each slot carries a "remaining in chain"
-    word ([n - i] at the i-th slot) telling the consumer how far the
-    contiguous run extends even if it takes the chain over mid-way
-    (crash recovery). Replies are {e coalesced}: because the single
+    {e Chains.} The [n] slots of one submission ({!try_submit_chain})
+    move together — the magazine idiom of the mempool's chain-batched
+    free list, applied to requests. The chain's slots are published in
+    {e reverse} order, head last, so a consumer that observes the head
+    submitted observes the whole chain submitted and can drain it in
+    one wakeup; each slot carries a "remaining in chain" word ([n - i]
+    at the i-th slot) telling the consumer how far the contiguous run
+    extends even if it takes the chain over mid-way (crash recovery). Replies are {e coalesced}: because the single
     consumer completes slots in cursor order, the chain's {e last} slot
     completing implies every earlier slot completed — the client waits
     on one sequence word per chain ({!chain_done} / {!await_chain})
@@ -68,13 +69,12 @@
     the ring's bell ({!park_consumer}): it counts itself as a sleeper,
     re-checks its cursor slot, and only then waits on the bell's
     [Condition]; a producer that sees a sleeper counted after
-    publishing a request (or a chain's head) rings the bell. A client's
-    blocking wait ({!await}, {!await_chain}) does a short phase of
-    tight reads, then [Domain.cpu_relax], then parks on one of
-    [min capacity 64] {e lots} chosen by the slot it waits on;
-    {!complete} wakes that lot only when it completes a chain's last
-    slot (chain-remaining word [= 1], so every single submit too) and
-    the lot has sleepers. Both handshakes are store-then-load on
+    publishing a chain's head rings the bell. A client's blocking wait
+    ({!await_chain}) does a short phase of tight reads, then
+    [Domain.cpu_relax], then parks on one of [min capacity 64] {e lots}
+    chosen by the slot it waits on; {!complete} wakes that lot only
+    when it completes a chain's last slot (chain-remaining word [= 1])
+    and the lot has sleepers. Both handshakes are store-then-load on
     sequentially consistent atomics: each side stores its own word (the
     sleeper count; the slot's sequence word) before loading the
     other's, so at least one of them sees the other, and the waker
@@ -83,9 +83,9 @@
     parks are tallied into the ring's {!stats}
     ([client_spins]/[client_backoffs]).
 
-    Submitting, serving, polling and cancelling allocate nothing ([-1]
-    sentinels instead of options): the reply path of a request is a
-    "reply slot", not a message. *)
+    Submitting, serving, waiting, harvesting and cancelling allocate
+    nothing ([-1] sentinels instead of options): the reply path of a
+    request is a "reply slot", not a message. *)
 
 (* Payload words per slot. *)
 let stride = 7
@@ -174,63 +174,25 @@ let wake_consumer t = wake t.bell
 
 (* -- producers ----------------------------------------------------------- *)
 
-(** Claim a slot and publish a request; returns the ticket ([>= 0]) to
-    poll the reply with, or [-1] when the ring is full (the slot one lap
-    back has not been acked yet). [deadline_us] is an absolute deadline
-    in integer microseconds ([0] = none): the consumer answers a request
-    it picks up past its deadline with the service's busy code instead
-    of executing it. Lock-free: a failed CAS means another producer
-    claimed the ticket and made progress. *)
-let rec try_submit ?(deadline_us = 0) t ~op ~key ~value =
-  let pos = Atomic.get t.tail in
-  let s = seq_at t pos in
-  let v = Atomic.get s in
-  if v = pos then
-    if Atomic.compare_and_set t.tail pos (pos + 1) then begin
-      let b = base t pos in
-      t.payload.(b) <- op;
-      t.payload.(b + 1) <- key;
-      t.payload.(b + 2) <- value;
-      t.payload.(b + 4) <- Atomic.get t.generation;
-      t.payload.(b + 5) <- deadline_us;
-      t.payload.(b + 6) <- 1;
-      Atomic.set s (pos + 1);
-      wake_sleepers t.bell;
-      pos
-    end
-    else try_submit ~deadline_us t ~op ~key ~value (* lost the ticket race *)
-  else if v < pos then -1 (* previous lap's occupant not yet acked: full *)
-  else try_submit ~deadline_us t ~op ~key ~value (* stale tail read *)
+(* Is every slot of [pos, pos + n) free this lap? [0] yes; [-1] one
+   still holds an unacked previous lap (the ring is full for this
+   chain); [1] the tail read was stale. Slots ack out of order (each
+   producer acks its own), so the whole span is checked, not just the
+   head. Top-level rather than a closure over [pos] and [n], so a
+   submit allocates nothing. *)
+let rec scan_free t ~pos ~n i =
+  if i >= n then 0
+  else
+    let v = Atomic.get (seq_at t (pos + i)) in
+    if v = pos + i then scan_free t ~pos ~n (i + 1)
+    else if v < pos + i then -1
+    else 1
 
-(** Claim [n] consecutive slots with one tail CAS and publish a whole
-    request chain: requests [i = 0 .. n-1] are read from
-    [ops.(off + i)] / [keys.(off + i)] / [values.(off + i)]. Returns
-    the first ticket ([>= 0]; the chain occupies tickets
-    [ticket .. ticket + n - 1]), or [-1] when the ring does not have
-    [n] free contiguous slots. Slots are published head-last, so the
-    consumer sees either no chain or the whole chain; the payload
-    protocol (per-slot generation stamp, deadline, chain-remaining
-    word) is byte-for-byte the single-submit protocol at [n = 1].
-    [n] must be at most half the capacity, so one chain can never
-    deadlock against its own unacked previous lap. *)
-let rec try_submit_chain ?(deadline_us = 0) t ~n ~ops ~keys ~values ~off =
-  if n < 1 || n > t.capacity / 2 then
-    invalid_arg "Request_ring.try_submit_chain: n outside [1, capacity/2]";
+let rec submit_chain t ~deadline_us ~n ~ops ~keys ~values ~off =
   let pos = Atomic.get t.tail in
-  (* Every slot of [pos, pos + n) must be free this lap. Slots ack out
-     of order (each producer acks its own), so the whole span is
-     checked, not just the head. *)
-  let rec scan i =
-    if i >= n then 0
-    else
-      let v = Atomic.get (seq_at t (pos + i)) in
-      if v = pos + i then scan (i + 1)
-      else if v < pos + i then -1 (* occupied by an unacked previous lap *)
-      else 1 (* stale tail read *)
-  in
-  match scan 0 with
+  match scan_free t ~pos ~n 0 with
   | -1 -> -1
-  | 1 -> try_submit_chain ~deadline_us t ~n ~ops ~keys ~values ~off
+  | 1 -> submit_chain t ~deadline_us ~n ~ops ~keys ~values ~off
   | _ ->
     if Atomic.compare_and_set t.tail pos (pos + n) then begin
       (* The span is ours: a slot observed free can only be claimed
@@ -251,35 +213,44 @@ let rec try_submit_chain ?(deadline_us = 0) t ~n ~ops ~keys ~values ~off =
       wake_sleepers t.bell;
       pos
     end
-    else try_submit_chain ~deadline_us t ~n ~ops ~keys ~values ~off
+    else submit_chain t ~deadline_us ~n ~ops ~keys ~values ~off
 
-(** Poll the reply for [ticket]: the reply code ([>= 0], acking the slot
-    for reuse) or [-1] while still pending. Each ticket must be polled
-    to completion exactly once — the ack is what frees the slot — or
-    abandoned through {!cancel}, never both. *)
-let[@inline] poll t ~ticket =
-  let s = seq_at t ticket in
-  if Atomic.get s = ticket + 2 then begin
-    let r = t.payload.(base t ticket + 3) in
-    Atomic.set s (ticket + t.capacity);
-    r
-  end
-  else -1
+(** Claim [n] consecutive slots with one tail CAS and publish a whole
+    request chain: requests [i = 0 .. n-1] are read from
+    [ops.(off + i)] / [keys.(off + i)] / [values.(off + i)]. Returns
+    the first ticket ([>= 0]; the chain occupies tickets
+    [ticket .. ticket + n - 1]), or [-1] when the ring does not have
+    [n] free contiguous slots. Slots are published head-last, so the
+    consumer sees either no chain or the whole chain. [deadline_us] is
+    an absolute deadline in integer microseconds ([0] = none): the
+    consumer answers a request it picks up past its deadline with the
+    service's busy code instead of executing it. [n] must be at most
+    half the capacity, so one chain can never deadlock against its own
+    unacked previous lap. Lock-free: a failed CAS means another
+    producer claimed the span and made progress. *)
+let try_submit_chain ?(deadline_us = 0) t ~n ~ops ~keys ~values ~off =
+  if n < 1 || n > t.capacity / 2 then
+    invalid_arg "Request_ring.try_submit_chain: n outside [1, capacity/2]";
+  submit_chain t ~deadline_us ~n ~ops ~keys ~values ~off
 
-(** Abandon [ticket]: the deadline path of a client that will not wait
-    for the reply. Returns [-1] if the cancel won — the slot is now the
-    consumer's to discard, the request may or may not execute, and the
-    ticket must never be polled again — or the reply code ([>= 0], slot
-    acked) if the consumer completed first, in which case the cancel
-    degenerated into the final poll. Races only with the consumer: the
-    submitting client is the only caller for its own ticket. *)
+(** Abandon the 1-chain at [ticket]: the deadline path of a client that
+    will not wait for the reply. Returns [-1] if the cancel won — the
+    slot is now the consumer's to discard, the request may or may not
+    execute, and the ticket must never be waited on or harvested again
+    — or the reply code ([>= 0], slot acked) if the consumer completed
+    first, in which case the cancel degenerated into the harvest. A
+    longer chain cannot be cancelled: its coalesced wait watches the
+    last slot, which a cancel would leave uncompleted. Races only with
+    the consumer: the submitting client is the only caller for its own
+    ticket. *)
 let cancel t ~ticket =
   let s = seq_at t ticket in
   let v = Atomic.get s in
   if v = ticket + 1 && Atomic.compare_and_set s (ticket + 1) (ticket + 3) then -1
   else if Atomic.get s = ticket + 2 then begin
     (* Completed (either before the first read or by winning the race
-       against our CAS): take the reply and ack, exactly like poll. *)
+       against our CAS): take the reply and ack, exactly like a
+       harvest. *)
     let r = t.payload.(base t ticket + 3) in
     Atomic.set s (ticket + t.capacity);
     r
@@ -360,8 +331,8 @@ let park_consumer t ~pos ~stop =
 let consumer_parked t = Atomic.get t.bell.sleepers > 0
 
 (** How many requests remain in the contiguous chain starting at the
-    cursor position (inclusive): [1] for a single submit, [n - i] at the
-    i-th slot of an n-chain. Valid under the same window as {!op}. A
+    cursor position (inclusive): [n - i] at the i-th slot of an
+    n-chain, so [1] for a 1-chain. Valid under the same window as {!op}. A
     consumer may use it to widen one wakeup's drain to the whole chain. *)
 let[@inline] chain_len t ~pos = t.payload.(base t pos + 6)
 
@@ -373,8 +344,7 @@ let[@inline] chain_len t ~pos = t.payload.(base t pos + 6)
     every slot completed (and the acquire read here orders the caller
     after every reply write in the chain — see the header). Sound across
     crash takeover because the replacement consumer starts after
-    [Domain.join] on the corpse. Do not mix with per-slot {!poll} or
-    {!cancel} on the same chain. *)
+    [Domain.join] on the corpse. *)
 let[@inline] chain_done t ~ticket ~n =
   Atomic.get (seq_at t (ticket + n - 1)) = ticket + n + 1
 
@@ -417,38 +387,28 @@ let park_client t ~pos s ~target =
   Atomic.decr lot.sleepers;
   !slept
 
-(* Wait until the chain-ending slot at [pos] reaches [target]; tally
-   relax iterations and parks into [wait_stats]. *)
+(* Wait until the chain-ending slot at [pos] reaches [target]: up to
+   [spin_reads] tight reads, then up to [relax_budget] [cpu_relax]
+   rounds, then a park; tally the relax rounds and the park into
+   [wait_stats]. Plain loops rather than local recursive functions: a
+   closure over the slot would allocate on every wait. *)
 let wait_seq t ~pos ~target =
   let s = seq_at t pos in
-  let rec tight i =
-    if Atomic.get s = target then 0
-    else if i > 0 then tight (i - 1)
-    else relax 0
-  and relax r =
-    if Atomic.get s = target then r
-    else if r < relax_budget then begin
+  let reads = ref spin_reads in
+  while Atomic.get s <> target && !reads > 0 do
+    decr reads
+  done;
+  let relaxes = ref 0 in
+  if !reads = 0 then begin
+    while Atomic.get s <> target && !relaxes < relax_budget do
       Domain.cpu_relax ();
-      relax (r + 1)
-    end
-    else begin
-      if park_client t ~pos s ~target then
-        ignore (Atomic.fetch_and_add t.wait_stats.(Mp_util.Padding.spaced_index 1) 1 : int);
-      r
-    end
-  in
-  let relaxes = tight spin_reads in
-  if relaxes > 0 then
-    ignore (Atomic.fetch_and_add t.wait_stats.(Mp_util.Padding.spaced_index 0) relaxes : int)
-
-(** Block until [ticket] is completed and return its reply (acking the
-    slot): {!poll} with the spin → [cpu_relax] → park wait. The
-    submitting client is the only legal caller. *)
-let await t ~ticket =
-  wait_seq t ~pos:ticket ~target:(ticket + 2);
-  let r = t.payload.(base t ticket + 3) in
-  Atomic.set (seq_at t ticket) (ticket + t.capacity);
-  r
+      incr relaxes
+    done;
+    if !relaxes >= relax_budget && park_client t ~pos s ~target then
+      ignore (Atomic.fetch_and_add t.wait_stats.(Mp_util.Padding.spaced_index 1) 1 : int)
+  end;
+  if !relaxes > 0 then
+    ignore (Atomic.fetch_and_add t.wait_stats.(Mp_util.Padding.spaced_index 0) !relaxes : int)
 
 (** Block until the whole chain [ticket .. ticket + n - 1] is completed
     (one wait on the last slot's sequence word — see {!chain_done});

@@ -1,9 +1,10 @@
 (** Bounded MPSC request/reply ring: many client domains submit
-    requests, one shard domain serves them and completes each with an
-    integer reply through the same slot. Allocation-free on every path;
-    [-1] sentinels instead of options. See the implementation header
-    for the slot lifecycle (free → submitted → completed | cancelled →
-    acked) and the incarnation (generation) tag recovery rides on. *)
+    requests as chains of [n >= 1], one shard domain serves them and
+    completes each with an integer reply through the same slot.
+    Allocation-free on every path; [-1] sentinels instead of options.
+    See the implementation header for the slot lifecycle (free →
+    submitted → completed | cancelled → acked) and the incarnation
+    (generation) tag recovery rides on. *)
 
 type t
 
@@ -26,24 +27,18 @@ val bump_generation : t -> unit
 
 (** {2 Producers (any domain)} *)
 
-(** Claim a slot and publish a request (ringing the consumer's bell if
-    it is parked): returns a ticket [>= 0], or [-1] when the ring is
-    full. [deadline_us] is an absolute deadline
-    in integer microseconds, [0] = none; the consumer sheds requests it
-    picks up past their deadline (answering busy) instead of executing
-    them. *)
-val try_submit : ?deadline_us:int -> t -> op:int -> key:int -> value:int -> int
-
 (** Claim [n] consecutive slots with a single tail CAS and publish a
     whole request chain read from [ops/keys/values.(off + i)],
-    [i = 0 .. n-1]. Returns the first ticket (the chain occupies
-    tickets [ticket .. ticket + n - 1]) or [-1] when the ring lacks [n]
-    free contiguous slots. Published head-last: a consumer that sees
-    the head sees the whole chain. At [n = 1] the slot protocol is
-    byte-for-byte {!try_submit}'s. Raises [Invalid_argument] when [n]
-    is outside [1, capacity/2]. Wait for the chain with {!await_chain}
-    (or poll {!chain_done}) and collect replies with {!harvest_chain} —
-    never with per-slot {!poll}/{!cancel}. *)
+    [i = 0 .. n-1], ringing the consumer's bell if it is parked.
+    Returns the first ticket (the chain occupies tickets
+    [ticket .. ticket + n - 1]) or [-1] when the ring lacks [n] free
+    contiguous slots. Published head-last: a consumer that sees the
+    head sees the whole chain. [deadline_us] is an absolute deadline in
+    integer microseconds, [0] = none; the consumer sheds requests it
+    picks up past their deadline (answering busy) instead of executing
+    them. Raises [Invalid_argument] when [n] is outside
+    [1, capacity/2]. Wait for the chain with {!await_chain} (or poll
+    {!chain_done}) and collect replies with {!harvest_chain}. *)
 val try_submit_chain :
   ?deadline_us:int ->
   t ->
@@ -54,16 +49,12 @@ val try_submit_chain :
   off:int ->
   int
 
-(** Reply for [ticket] ([>= 0], frees the slot) or [-1] while pending.
-    Poll each ticket to completion exactly once — or abandon it with
-    {!cancel}, never both. *)
-val poll : t -> ticket:int -> int
-
-(** Abandon [ticket] (the client-side deadline path): [-1] if the
-    cancel won — the consumer discards the slot, the request may or may
-    not execute, and the ticket must never be polled again — or the
-    reply code [>= 0] if the consumer completed first (the cancel then
-    acted as the final poll and freed the slot). *)
+(** Abandon the 1-chain at [ticket] (the client-side deadline path):
+    [-1] if the cancel won — the consumer discards the slot, the
+    request may or may not execute, and the ticket must never be
+    harvested — or the reply code [>= 0] if the consumer completed
+    first (the cancel then acted as the harvest and freed the slot).
+    Chains longer than one cannot be cancelled. *)
 val cancel : t -> ticket:int -> int
 
 (** {2 Coalesced chain completion (the submitting client)}
@@ -85,12 +76,8 @@ val harvest_chain : t -> ticket:int -> n:int -> replies:int array -> off:int -> 
 
     Tight reads, then [Domain.cpu_relax], then a park on one of
     [min capacity 64] lots chosen by the awaited slot; {!complete}
-    wakes the lot when it completes a chain's last slot (every single
-    submit included) and the lot has waiters. Tallied into {!stats}. *)
-
-(** Block until [ticket] completes; returns the reply and acks the slot
-    (a blocking {!poll}). *)
-val await : t -> ticket:int -> int
+    wakes the lot when it completes a chain's last slot and the lot has
+    waiters. Tallied into {!stats}. *)
 
 (** Block until the whole chain completes; follow with
     {!harvest_chain}. *)
@@ -131,7 +118,7 @@ val stamp : t -> pos:int -> int
 val deadline_us : t -> pos:int -> int
 
 (** Requests remaining in the contiguous chain starting at [pos]
-    (inclusive); [1] for a single submit. Same validity window as
+    (inclusive); [1] at a chain's last slot. Same validity window as
     {!op}. *)
 val chain_len : t -> pos:int -> int
 

@@ -183,6 +183,23 @@ let[@inline] past_deadline ring ~pos =
   let d = Request_ring.deadline_us ring ~pos in
   d > 0 && now_us () > d
 
+(* Reject-drain [ring] from cursor [pos]: discard cancelled slots and
+   answer every ready request {!reply_rejected}, up to the first free
+   slot. The shutdown path of a stopping shard, and the supervisor's
+   sweep of a corpse no replacement will serve. Returns the cursor past
+   the drain. *)
+let rec reject_drain ring ~pos ~rejected ~cancelled =
+  if Request_ring.cancelled ring ~pos then begin
+    Request_ring.discard ring ~pos;
+    incr cancelled;
+    reject_drain ring ~pos:(pos + 1) ~rejected ~cancelled
+  end
+  else if Request_ring.ready ring ~pos then begin
+    if Request_ring.complete ring ~pos reply_rejected then incr rejected else incr cancelled;
+    reject_drain ring ~pos:(pos + 1) ~rejected ~cancelled
+  end
+  else pos
+
 let create ?recovery ?autoscale (type a) (module SET : Dstruct.Set_intf.SET with type t = a)
     (set : a) ~shards ~batch ~ring_capacity =
   let recovery = Option.map (fun cfg -> Recovery.create ~shards cfg) recovery in
@@ -396,21 +413,8 @@ let create ?recovery ?autoscale (type a) (module SET : Dstruct.Set_intf.SET with
        clients spin forever. A mid-run crash exit skips the drain — the
        replacement takes the ring over at the published cursor. *)
     if (not !exiting) || Atomic.get stop then begin
-      let draining = ref true in
-      while !draining do
-        if Request_ring.cancelled ring ~pos:!pos then begin
-          Request_ring.discard ring ~pos:!pos;
-          incr my_cancelled;
-          advance ()
-        end
-        else if Request_ring.ready ring ~pos:!pos then begin
-          if not (Request_ring.complete ring ~pos:!pos reply_rejected) then
-            incr my_cancelled
-          else incr my_rejected;
-          advance ()
-        end
-        else draining := false
-      done
+      pos := reject_drain ring ~pos:!pos ~rejected:my_rejected ~cancelled:my_cancelled;
+      Atomic.set cursor !pos
     end;
     if !alive then SET.flush s;
     (* Hand the magazines back on the way out: a pending arena drain
@@ -472,26 +476,13 @@ let ring_capacity t = Request_ring.capacity t.rings.(0)
    the supervisor domain after joining the corpse, so the shard's stats
    slots and cursor are safely handed over. *)
 let drain_reject t shard =
-  let ring = t.rings.(shard) in
   let cursor = t.cursors.(Padding.spaced_index shard) in
   let i = Padding.spaced_index shard in
-  let pos = ref (Atomic.get cursor) in
-  let draining = ref true in
-  while !draining do
-    if Request_ring.cancelled ring ~pos:!pos then begin
-      Request_ring.discard ring ~pos:!pos;
-      t.cancelled.(i) <- t.cancelled.(i) + 1;
-      incr pos
-    end
-    else if Request_ring.ready ring ~pos:!pos then begin
-      if Request_ring.complete ring ~pos:!pos reply_rejected then
-        t.rejected.(i) <- t.rejected.(i) + 1
-      else t.cancelled.(i) <- t.cancelled.(i) + 1;
-      incr pos
-    end
-    else draining := false
-  done;
-  Atomic.set cursor !pos
+  let rejected = ref 0 and cancelled = ref 0 in
+  Atomic.set cursor
+    (reject_drain t.rings.(shard) ~pos:(Atomic.get cursor) ~rejected ~cancelled);
+  t.rejected.(i) <- t.rejected.(i) + !rejected;
+  t.cancelled.(i) <- t.cancelled.(i) + !cancelled
 
 (* Takeover of a crashed shard: join the corpse (the happens-before edge
    every safety argument below leans on), bump the ring generation so
@@ -507,30 +498,27 @@ let recover t st shard =
   Domain.join t.domains.(shard);
   let dead_tid = t.shard_tid.(shard) in
   Request_ring.bump_generation t.rings.(shard);
-  let adopt_and_pool tid =
+  let adopt tid =
     t.adopt_tid tid;
     Recovery.note_adoption st;
-    Mp_util.Fault.forgive ~tid;
-    Recovery.return_tid st tid
+    Mp_util.Fault.forgive ~tid
   in
-  (match Recovery.take_tid st with
+  let respawn tid =
+    t.shard_tid.(shard) <- tid;
+    Atomic.set t.hb.(Padding.spaced_index shard) 0;
+    t.dead.(shard) <- false;
+    t.domains.(shard) <- Domain.spawn (t.worker shard tid);
+    let now = Unix.gettimeofday () in
+    Recovery.note_recovery st ~elapsed_s:(now -. t0) ~at:now
+  in
+  match Recovery.take_tid st with
   | Some fresh ->
-    t.shard_tid.(shard) <- fresh;
-    Atomic.set t.hb.(Padding.spaced_index shard) 0;
-    t.dead.(shard) <- false;
-    t.domains.(shard) <- Domain.spawn (t.worker shard fresh);
-    let now = Unix.gettimeofday () in
-    Recovery.note_recovery st ~elapsed_s:(now -. t0) ~at:now;
-    adopt_and_pool dead_tid
+    respawn fresh;
+    adopt dead_tid;
+    Recovery.return_tid st dead_tid
   | None ->
-    t.adopt_tid dead_tid;
-    Recovery.note_adoption st;
-    Mp_util.Fault.forgive ~tid:dead_tid;
-    Atomic.set t.hb.(Padding.spaced_index shard) 0;
-    t.dead.(shard) <- false;
-    t.domains.(shard) <- Domain.spawn (t.worker shard dead_tid);
-    let now = Unix.gettimeofday () in
-    Recovery.note_recovery st ~elapsed_s:(now -. t0) ~at:now)
+    adopt dead_tid;
+    respawn dead_tid
 
 let supervise t st () =
   let cfg = Recovery.config st in
@@ -645,18 +633,13 @@ let stop t =
 
 (* -- client side --------------------------------------------------------- *)
 
-let[@inline] try_submit ?(deadline_us = 0) t ~shard ~op ~key ~value =
-  Request_ring.try_submit t.rings.(shard) ~op ~key ~value ~deadline_us
-
 (** Submit a whole chain to one shard with a single tail CAS: requests
     [i = 0 .. n-1] read from [ops/keys/values.(off + i)]. Returns the
     first ticket or [-1] (ring lacks [n] contiguous free slots). Wait
     with {!await_chain} / {!chain_done} and collect with
-    {!harvest_chain} — never per-slot poll/cancel. *)
-let[@inline] try_submit_chain ?(deadline_us = 0) t ~shard ~n ~ops ~keys ~values
-    ~off =
-  Request_ring.try_submit_chain t.rings.(shard) ~deadline_us ~n ~ops ~keys
-    ~values ~off
+    {!harvest_chain}. *)
+let[@inline] try_submit_chain ?deadline_us t ~shard ~n ~ops ~keys ~values ~off =
+  Request_ring.try_submit_chain t.rings.(shard) ?deadline_us ~n ~ops ~keys ~values ~off
 
 let[@inline] chain_done t ~shard ~ticket ~n =
   Request_ring.chain_done t.rings.(shard) ~ticket ~n
@@ -664,22 +647,141 @@ let[@inline] chain_done t ~shard ~ticket ~n =
 let[@inline] harvest_chain t ~shard ~ticket ~n ~replies ~off =
   Request_ring.harvest_chain t.rings.(shard) ~ticket ~n ~replies ~off
 
-let[@inline] await_chain t ~shard ~ticket ~n =
-  Request_ring.await_chain t.rings.(shard) ~ticket ~n
-
-let[@inline] poll t ~shard ~ticket = Request_ring.poll t.rings.(shard) ~ticket
-
-(** Abandon a ticket (deadline path): [-1] if the cancel won (never
-    poll the ticket again; the request may or may not execute), or the
-    reply if the shard completed first. *)
-let[@inline] cancel t ~shard ~ticket = Request_ring.cancel t.rings.(shard) ~ticket
-
-(** Blocking reply wait — the ring's spin → [cpu_relax] → park wait
-    ({!Request_ring.await}), tallied in {!stats.client_spins} /
+(** Blocking chain wait — the ring's spin → [cpu_relax] → park wait
+    ({!Request_ring.await_chain}), tallied in {!stats.client_spins} /
     {!stats.client_backoffs}. Only meaningful while the service is
     running: shards answer every submitted request before they exit, so
     this cannot hang across a clean [stop]. *)
-let await t ~shard ~ticket = Request_ring.await t.rings.(shard) ~ticket
+let[@inline] await_chain t ~shard ~ticket ~n =
+  Request_ring.await_chain t.rings.(shard) ~ticket ~n
+
+(** Abandon a 1-chain (deadline path): [-1] if the cancel won (never
+    harvest the ticket; the request may or may not execute), or the
+    reply if the shard completed first. *)
+let[@inline] cancel t ~shard ~ticket = Request_ring.cancel t.rings.(shard) ~ticket
+
+(* -- the shard-batch executor --------------------------------------------- *)
+
+(* One client's scratch for {!execute}: per-shard bucket bounds and the
+   in-flight chain, plus the batch copied into shard order. Grown on
+   demand, reused across batches. *)
+type client = {
+  svc : t;
+  count : int array; (* by shard: ops routed there *)
+  start : int array; (* by shard: first op of the bucket not yet submitted *)
+  fill : int array; (* by shard: the bucket's end *)
+  ticket : int array; (* by shard: first ticket of the chain in flight *)
+  inflight : int array; (* by shard: length of that chain, 0 = none *)
+  mutable b_ops : int array;
+  mutable b_keys : int array;
+  mutable b_values : int array;
+  mutable b_replies : int array;
+  mutable slot : int array; (* op i's index in the buckets *)
+}
+
+let client t =
+  let z () = Array.make t.shards 0 and w () = Array.make 256 0 in
+  {
+    svc = t;
+    count = z ();
+    start = z ();
+    fill = z ();
+    ticket = z ();
+    inflight = z ();
+    b_ops = w ();
+    b_keys = w ();
+    b_values = w ();
+    b_replies = w ();
+    slot = w ();
+  }
+
+(** Execute [n] requests read from [ops/keys/values.(0 .. n-1)], in any
+    shard mix, and write their replies to [replies.(0 .. n-1)]: counting-
+    sort them into per-shard buckets, submit each bucket as chains of at
+    most half a ring, wait once per chain, harvest, and scatter the
+    replies back to request order. Returns how many submits found a
+    ring full and were retried. *)
+let execute ?deadline_us c ~n ~ops ~keys ~values ~replies =
+  let t = c.svc in
+  if n > Array.length c.slot then begin
+    let m = max n (2 * Array.length c.slot) in
+    c.b_ops <- Array.make m 0;
+    c.b_keys <- Array.make m 0;
+    c.b_values <- Array.make m 0;
+    c.b_replies <- Array.make m 0;
+    c.slot <- Array.make m 0
+  end;
+  Array.fill c.count 0 t.shards 0;
+  for i = 0 to n - 1 do
+    let s = shard_of_key t keys.(i) in
+    c.slot.(i) <- s;
+    c.count.(s) <- c.count.(s) + 1
+  done;
+  let acc = ref 0 in
+  for s = 0 to t.shards - 1 do
+    c.start.(s) <- !acc;
+    c.fill.(s) <- !acc;
+    acc := !acc + c.count.(s)
+  done;
+  for i = 0 to n - 1 do
+    let s = c.slot.(i) in
+    let j = c.fill.(s) in
+    c.b_ops.(j) <- ops.(i);
+    c.b_keys.(j) <- keys.(i);
+    c.b_values.(j) <- values.(i);
+    c.slot.(i) <- j;
+    c.fill.(s) <- j + 1
+  done;
+  (* Rounds: submit every shard's next chunk, then await and harvest
+     them all, so a round costs its slowest chain rather than the sum. *)
+  let max_chain = ring_capacity t / 2 in
+  let retries = ref 0 in
+  let left = ref n in
+  while !left > 0 do
+    (* Ascending shard order keeps ring-full retries deadlock-free: a
+       client blocked here on shard [s] holds unharvested chains only on
+       shards below [s]. So the slots of the highest ring any client is
+       blocked on belong to clients past their submits, which harvest
+       them; by induction downward, every blocked client proceeds. *)
+    for s = 0 to t.shards - 1 do
+      let k = min (c.fill.(s) - c.start.(s)) max_chain in
+      c.inflight.(s) <- k;
+      if k > 0 then begin
+        let ring = t.rings.(s) and off = c.start.(s) in
+        let tk = ref (-1) in
+        let spins = ref 0 in
+        while
+          tk :=
+            Request_ring.try_submit_chain ring ?deadline_us ~n:k ~ops:c.b_ops
+              ~keys:c.b_keys ~values:c.b_values ~off;
+          !tk < 0
+        do
+          (* ring full: the shard is draining; brief pause and retry *)
+          incr retries;
+          if !spins < 64 then begin
+            incr spins;
+            Domain.cpu_relax ()
+          end
+          else Unix.sleepf 0.0001
+        done;
+        c.ticket.(s) <- !tk
+      end
+    done;
+    for s = 0 to t.shards - 1 do
+      let k = c.inflight.(s) in
+      if k > 0 then begin
+        Request_ring.await_chain t.rings.(s) ~ticket:c.ticket.(s) ~n:k;
+        Request_ring.harvest_chain t.rings.(s) ~ticket:c.ticket.(s) ~n:k
+          ~replies:c.b_replies ~off:c.start.(s);
+        c.start.(s) <- c.start.(s) + k;
+        left := !left - k
+      end
+    done
+  done;
+  for i = 0 to n - 1 do
+    replies.(i) <- c.b_replies.(c.slot.(i))
+  done;
+  !retries
 
 (* -- post-run statistics ------------------------------------------------- *)
 

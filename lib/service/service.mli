@@ -99,7 +99,8 @@ val stop : t -> unit
 val shards : t -> int
 val batch : t -> int
 
-(** Per-shard request-ring capacity (chains must stay ≤ half of it). *)
+(** Per-shard request-ring capacity ({!try_submit_chain}'s chains
+    must stay ≤ half of it; {!execute} splits longer batches). *)
 val ring_capacity : t -> int
 
 (** {2 Client side (any domain)} *)
@@ -107,21 +108,51 @@ val ring_capacity : t -> int
 (** The shard owning [key]. *)
 val shard_of_key : t -> int -> int
 
-(** Submit to a shard's ring: ticket [>= 0], or [-1] if the ring is
-    full. [deadline_us] (absolute, microseconds, 0 = none): the shard
-    answers {!reply_busy} without executing if it picks the request up
-    past the deadline. Route with {!shard_of_key} — a request for a key
-    submitted to the wrong shard is answered, but breaks per-key
-    serialization. *)
-val try_submit :
-  ?deadline_us:int -> t -> shard:int -> op:int -> key:int -> value:int -> int
+(** {2 The shard-batch executor}
+
+    The one client request path: a batch of requests in any shard mix,
+    split into one ring chain per shard. *)
+
+(** A client's reusable scratch for {!execute}; one per client domain
+    (or connection), never shared between domains. *)
+type client
+
+val client : t -> client
+
+(** [execute ?deadline_us c ~n ~ops ~keys ~values ~replies] runs the
+    [n] requests [ops/keys/values.(i)], [i < n], and writes each reply
+    to [replies.(i)]. Requests are routed by {!shard_of_key} (so per-key
+    order holds within the batch), counting-sorted into per-shard
+    buckets and submitted as chains of at most half a ring — every
+    shard's chain before the wait on any, in ascending shard order, which
+    keeps concurrent clients deadlock-free when rings fill. Blocks until
+    every reply is in. [deadline_us] (absolute, microseconds, 0 or
+    absent = none): a shard answers {!reply_busy} without executing any
+    request it picks up past the deadline. Returns how many submits
+    found a ring full and were retried. *)
+val execute :
+  ?deadline_us:int ->
+  client ->
+  n:int ->
+  ops:int array ->
+  keys:int array ->
+  values:int array ->
+  replies:int array ->
+  int
+
+(** {2 Chains on one shard}
+
+    The ring protocol underneath {!execute}, for clients that keep
+    several requests in flight and reap them one by one. *)
 
 (** Submit a whole chain to one shard with a single tail CAS: requests
     [i = 0 .. n-1] read from [ops/keys/values.(off + i)], all routed to
     [shard]. First ticket, or [-1] when the ring lacks [n] contiguous
-    free slots. Chains complete as a unit: wait with {!await_chain} (or
-    poll {!chain_done}) and collect all replies with {!harvest_chain} —
-    never per-slot {!poll}/{!cancel}. *)
+    free slots. [deadline_us] as for {!execute}. Chains complete as a
+    unit: wait with {!await_chain} (or poll {!chain_done}) and collect
+    all replies with {!harvest_chain}. Route with {!shard_of_key} — a
+    request for a key submitted to the wrong shard is answered, but
+    breaks per-key serialization. *)
 val try_submit_chain :
   ?deadline_us:int ->
   t ->
@@ -146,20 +177,12 @@ val harvest_chain :
     whole chain completes. *)
 val await_chain : t -> shard:int -> ticket:int -> n:int -> unit
 
-(** Reply code [>= 0], or [-1] while pending (frees the slot when it
-    answers; poll each ticket to completion exactly once, or abandon it
-    with {!cancel} — never both). *)
-val poll : t -> shard:int -> ticket:int -> int
-
-(** Abandon a ticket (the client deadline path): [-1] if the cancel won
-    — never touch the ticket again; the request may or may not
+(** Abandon a 1-chain (the client deadline path): [-1] if the cancel
+    won — never touch the ticket again; the request may or may not
     execute — or the reply code if the shard completed first (the
-    cancel then acted as the final poll). *)
+    cancel then acted as the harvest). Longer chains cannot be
+    cancelled. *)
 val cancel : t -> shard:int -> ticket:int -> int
-
-(** Blocking {!poll} — spin → [cpu_relax] → park on the reply slot's
-    ring lot, tallied in {!type-stats}. *)
-val await : t -> shard:int -> ticket:int -> int
 
 (** {2 Post-run statistics} (read after {!stop}) *)
 

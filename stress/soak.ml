@@ -197,15 +197,14 @@ let service_fault_round scheme_mod ~scheme ~properties ~seed =
         key_range = range;
         zipf_alpha = None;
         seed;
-        (* Alternate by seed between the open-loop per-slot path and the
-           chained closed-loop path, so fault plans also fire while a
+        (* Alternate by seed between the open-loop window of 1-chains
+           and the chained client, so fault plans also fire while a
            shard is mid-chain (the coalesced-completion takeover edge). *)
         mode =
           (if seed mod 2 = 0 then Loadgen.Open { rate = 30_000.0; window = 32 }
-           else Loadgen.Closed { pipeline = 8 });
+           else Loadgen.Chained { chain = 1 + (seed mod 8) });
         deadline_s = 0.0;
         max_retries = 0;
-        chain = (if seed mod 2 = 0 then 1 else 1 + (seed mod 8));
       }
   in
   Service.stop svc;
@@ -281,7 +280,6 @@ let chaos_round scheme_mod ~scheme ~properties ~seed =
       mode = Loadgen.Open { rate = 20_000.0; window = 32 };
       deadline_s = 0.05;
       max_retries = 3;
-      chain = 1;
     }
   in
   let run ~faulted =
@@ -512,7 +510,6 @@ let elastic_round scheme_mod ~scheme ~properties ~seed =
         mode = Loadgen.Open { rate; window = 32 };
         deadline_s = 0.05;
         max_retries = 3;
-        chain = 1;
       }
   in
   let spike = phase ~duration_s:0.8 ~rate:60_000.0 ~read_pct:5 ~insert_pct:90 ~seed in

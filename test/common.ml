@@ -173,3 +173,26 @@ let within_deadline ~seconds what f =
   done;
   if not (Atomic.get finished) then Alcotest.failf "%s did not finish within %.1f s" what seconds;
   Domain.join d
+
+(* -- 1-chains on a bare request ring -------------------------------------- *)
+
+module Ring = Mp_service.Request_ring
+
+(* Submit one request as a chain of one: its ticket, or -1 (ring full). *)
+let submit1 ?deadline_us r ~op ~key ~value =
+  Ring.try_submit_chain ?deadline_us r ~n:1 ~ops:[| op |] ~keys:[| key |] ~values:[| value |]
+    ~off:0
+
+let harvest1 r ~ticket =
+  let reply = [| -1 |] in
+  Ring.harvest_chain r ~ticket ~n:1 ~replies:reply ~off:0;
+  reply.(0)
+
+(* The reply of a completed 1-chain (acking its slot), or -1 while it is
+   pending. *)
+let poll1 r ~ticket = if Ring.chain_done r ~ticket ~n:1 then harvest1 r ~ticket else -1
+
+(* Block until the 1-chain completes; its reply. *)
+let await1 r ~ticket =
+  Ring.await_chain r ~ticket ~n:1;
+  harvest1 r ~ticket

@@ -9,7 +9,9 @@
      ~0 minor words per operation (measured via [Gc.minor_words] deltas);
    - the batched traversed counter must flush exactly once per operation
      (the striped counter shows the exact per-op visit count, no more) and
-     lose no counts when sessions run on separate domains. *)
+     lose no counts when sessions run on separate domains;
+   - a request-ring chain's whole cycle (submit, complete, wait,
+     harvest) must allocate nothing, as the ring promises. *)
 
 module L = Dstruct.Michael_list.Make (Smr_schemes.Leaky)
 module Config = Smr_core.Config
@@ -88,6 +90,39 @@ let traversed_no_loss_across_domains () =
     (threads * per_domain_ops * (key + 1))
     (L.traversed t - base)
 
+(* -- request-ring chains ---------------------------------------------------- *)
+
+module Ring = Mp_service.Request_ring
+
+(* One chain's client and consumer cycle on one domain: submit, complete
+   every slot, the coalesced completion check and wait (already
+   satisfied, so it returns at once), then the harvest. *)
+let ring_chain_alloc_free n () =
+  let r = Ring.create ~capacity:16 in
+  let ops = Array.make n 0 and keys = Array.init n Fun.id and values = Array.make n 0 in
+  let replies = Array.make n 0 in
+  let cycle () =
+    let ticket = Ring.try_submit_chain r ~n ~ops ~keys ~values ~off:0 in
+    for i = 0 to n - 1 do
+      ignore (Ring.complete r ~pos:(ticket + i) i : bool)
+    done;
+    if not (Ring.chain_done r ~ticket ~n) then Alcotest.fail "completed chain not done";
+    Ring.await_chain r ~ticket ~n;
+    Ring.harvest_chain r ~ticket ~n ~replies ~off:0
+  in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let cycles = 50_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int cycles in
+  if per_cycle >= 1.0 then
+    Alcotest.failf "a chain of %d allocates %.2f minor words per cycle (expected ~0)" n
+      per_cycle
+
 let () =
   Alcotest.run "alloc"
     [
@@ -97,5 +132,12 @@ let () =
         [
           Alcotest.test_case "exact flush per op" `Quick traversed_flush_per_op;
           Alcotest.test_case "no loss across domains" `Quick traversed_no_loss_across_domains;
+        ] );
+      ( "ring-chain",
+        [
+          Alcotest.test_case "chain of 1 allocates ~0 words/cycle" `Quick
+            (ring_chain_alloc_free 1);
+          Alcotest.test_case "chain of 4 allocates ~0 words/cycle" `Quick
+            (ring_chain_alloc_free 4);
         ] );
     ]

@@ -183,11 +183,9 @@ let concurrent_alloc_free_stress () =
    duplicated: each free bumps exactly one slot's incarnation, so the sum
    over all slots must equal the number of frees, and a final drain from
    both tids must surface every slot exactly once. *)
-let pipe_no_lost_or_duplicated transfer () =
+let pipe_no_lost_or_duplicated () =
   let capacity = 4096 and rounds = 100_000 in
-  let p =
-    Mempool.create ~capacity ~threads:2 ~transfer ~fair_share:256 (fun i -> i)
-  in
+  let p = Mempool.create ~capacity ~threads:2 ~fair_share:256 (fun i -> i) in
   let c = Mempool.core p in
   let q = Queue.create () in
   let m = Mutex.create () in
@@ -336,9 +334,7 @@ let () =
           Alcotest.test_case "cross-thread rebalancing" `Slow cross_thread_rebalancing;
           Alcotest.test_case "alloc/free stress" `Slow concurrent_alloc_free_stress;
           Alcotest.test_case "pipe chained: no slot lost/duplicated" `Slow
-            (pipe_no_lost_or_duplicated Mempool.Chained);
-          Alcotest.test_case "pipe per-slot: no slot lost/duplicated" `Slow
-            (pipe_no_lost_or_duplicated Mempool.Per_slot);
+            pipe_no_lost_or_duplicated;
         ] );
       ( "chains",
         [

@@ -28,6 +28,7 @@ module Recovery = Mp_service.Recovery
 module Loadgen = Mp_service.Loadgen
 
 let schemes = Common.schemes
+let submit1 = Common.submit1
 
 (* -- 1. reservation kernel ------------------------------------------------ *)
 
@@ -118,7 +119,7 @@ let adopt_drains_backlog (module S : Smr_core.Smr_intf.S) () =
 
 let ring_cancel_pending () =
   let r = Ring.create ~capacity:4 in
-  let t0 = Ring.try_submit r ~op:1 ~key:10 ~value:100 in
+  let t0 = submit1 r ~op:1 ~key:10 ~value:100 in
   Alcotest.(check int) "ticket" 0 t0;
   Alcotest.(check int) "cancel wins on a pending slot" (-1) (Ring.cancel r ~ticket:t0);
   Alcotest.(check bool) "consumer sees cancelled" true (Ring.cancelled r ~pos:0);
@@ -126,37 +127,37 @@ let ring_cancel_pending () =
   Ring.discard r ~pos:0;
   (* the discarded slot is acked: a full lap of submissions fits *)
   for i = 1 to 4 do
-    Alcotest.(check int) "slot recycled" i (Ring.try_submit r ~op:0 ~key:i ~value:0)
+    Alcotest.(check int) "slot recycled" i (submit1 r ~op:0 ~key:i ~value:0)
   done;
-  Alcotest.(check int) "then full" (-1) (Ring.try_submit r ~op:0 ~key:0 ~value:0)
+  Alcotest.(check int) "then full" (-1) (submit1 r ~op:0 ~key:0 ~value:0)
 
 let ring_cancel_after_complete () =
   let r = Ring.create ~capacity:4 in
-  let t0 = Ring.try_submit r ~op:1 ~key:10 ~value:100 in
+  let t0 = submit1 r ~op:1 ~key:10 ~value:100 in
   Alcotest.(check bool) "complete wins unopposed" true (Ring.complete r ~pos:0 7);
-  (* the late cancel acts as the final poll: reply delivered, slot freed *)
+  (* the late cancel acts as the harvest: reply delivered, slot freed *)
   Alcotest.(check int) "cancel returns the reply" 7 (Ring.cancel r ~ticket:t0);
   (* slot 0 is acked: ticket 4, one lap later, lands on it *)
   for i = 1 to 4 do
-    Alcotest.(check int) "slot freed by the cancel" i (Ring.try_submit r ~op:0 ~key:i ~value:0)
+    Alcotest.(check int) "slot freed by the cancel" i (submit1 r ~op:0 ~key:i ~value:0)
   done
 
 let ring_complete_loses_to_cancel () =
   let r = Ring.create ~capacity:4 in
-  let t0 = Ring.try_submit r ~op:1 ~key:10 ~value:100 in
+  let t0 = submit1 r ~op:1 ~key:10 ~value:100 in
   Alcotest.(check int) "cancel first" (-1) (Ring.cancel r ~ticket:t0);
   Alcotest.(check bool) "complete reports the loss" false (Ring.complete r ~pos:0 7);
   (* the losing complete freed the slot itself: a full lap fits *)
   for i = 1 to 4 do
-    Alcotest.(check int) "slot freed" i (Ring.try_submit r ~op:0 ~key:i ~value:0)
+    Alcotest.(check int) "slot freed" i (submit1 r ~op:0 ~key:i ~value:0)
   done
 
 let ring_generation_stamp () =
   let r = Ring.create ~capacity:4 in
   Alcotest.(check int) "initial generation" 0 (Ring.generation r);
-  let t0 = Ring.try_submit r ~op:1 ~key:1 ~value:0 in
+  let t0 = submit1 r ~op:1 ~key:1 ~value:0 in
   Ring.bump_generation r;
-  let t1 = Ring.try_submit r ~op:1 ~key:2 ~value:0 in
+  let t1 = submit1 r ~op:1 ~key:2 ~value:0 in
   Alcotest.(check int) "bumped" 1 (Ring.generation r);
   Alcotest.(check int) "old request stamped old" 0 (Ring.stamp r ~pos:t0);
   Alcotest.(check int) "new request stamped new" 1 (Ring.stamp r ~pos:t1);
@@ -165,8 +166,8 @@ let ring_generation_stamp () =
 
 let ring_deadline_word () =
   let r = Ring.create ~capacity:4 in
-  let t0 = Ring.try_submit r ~op:1 ~key:1 ~value:0 ~deadline_us:123_456 in
-  let t1 = Ring.try_submit r ~op:1 ~key:2 ~value:0 in
+  let t0 = submit1 r ~op:1 ~key:1 ~value:0 ~deadline_us:123_456 in
+  let t1 = submit1 r ~op:1 ~key:2 ~value:0 in
   Alcotest.(check int) "deadline rides the slot" 123_456 (Ring.deadline_us r ~pos:t0);
   Alcotest.(check int) "absent deadline is 0" 0 (Ring.deadline_us r ~pos:t1)
 
@@ -243,7 +244,8 @@ let conservation lg =
   = lg.Loadgen.completed_reqs + lg.Loadgen.rejected + lg.Loadgen.busy + lg.Loadgen.oom
     + lg.Loadgen.deadline_exceeded
 
-let service_recovery_round ?(seed = 99) ?(chain = 1) ?(plan : Fault.plan option) () =
+let service_recovery_round ?(seed = 99) ?(mode = Loadgen.Closed { pipeline = 8 })
+    ?(plan : Fault.plan option) () =
   let shards = 2 and spare_tids = 1 in
   let threads = shards + spare_tids in
   let (module SET : Dstruct.Set_intf.SET) =
@@ -283,10 +285,9 @@ let service_recovery_round ?(seed = 99) ?(chain = 1) ?(plan : Fault.plan option)
         key_range = 1024;
         zipf_alpha = None;
         seed;
-        mode = Loadgen.Closed { pipeline = 8 };
+        mode;
         deadline_s = 0.05;
         max_retries = 2;
-        chain;
       }
   in
   Service.stop svc;
@@ -312,7 +313,7 @@ let service_crash_recovers () =
    checked inside the round; here the recovery path itself must have
    fired and healed. *)
 let service_crash_recovers_chained () =
-  let lg, stats, r = service_recovery_round ~chain:8 () in
+  let lg, stats, r = service_recovery_round ~mode:(Loadgen.Chained { chain = 8 }) () in
   Alcotest.(check bool) "the crash fired" true (stats.Service.crash_events >= 1);
   Alcotest.(check bool) "every crash recovered" true
     (r.Recovery.recoveries >= stats.Service.crash_events);
@@ -386,13 +387,14 @@ let qcheck_round seed =
         key_range = 1024;
         zipf_alpha = None;
         seed;
-        mode = Loadgen.Closed { pipeline = 8 };
-        deadline_s = 0.04;
-        max_retries = 1 + (seed mod 3);
         (* Odd seeds drive the chained client through the crash →
            bump_generation → takeover path (retries are off in chain
            mode; conservation must still hold). *)
-        chain = (if seed mod 2 = 0 then 1 else 1 + (seed mod 4));
+        mode =
+          (if seed mod 2 = 0 then Loadgen.Closed { pipeline = 8 }
+           else Loadgen.Chained { chain = 1 + (seed mod 4) });
+        deadline_s = 0.04;
+        max_retries = 1 + (seed mod 3);
       }
   in
   Service.stop svc;

@@ -25,6 +25,9 @@ module Service = Mp_service.Service
 module Loadgen = Mp_service.Loadgen
 
 let schemes = Common.schemes
+let submit1 = Common.submit1
+let poll1 = Common.poll1
+let await1 = Common.await1
 
 (* -- 1a. reservation kernel ----------------------------------------------- *)
 
@@ -141,94 +144,25 @@ let batch_of_one_is_free (module S : Smr_core.Smr_intf.S) () =
 let ring_lifecycle () =
   let r = Ring.create ~capacity:4 in
   Alcotest.(check int) "rounded capacity" 4 (Ring.capacity r);
-  let t0 = Ring.try_submit r ~op:1 ~key:10 ~value:100 in
-  let t1 = Ring.try_submit r ~op:2 ~key:20 ~value:200 in
+  let t0 = submit1 r ~op:1 ~key:10 ~value:100 in
+  let t1 = submit1 r ~op:2 ~key:20 ~value:200 in
   Alcotest.(check int) "first ticket" 0 t0;
   Alcotest.(check int) "second ticket" 1 t1;
-  Alcotest.(check int) "reply pending" (-1) (Ring.poll r ~ticket:t0);
+  Alcotest.(check int) "reply pending" (-1) (poll1 r ~ticket:t0);
   Alcotest.(check bool) "first ready" true (Ring.ready r ~pos:0);
+  Alcotest.(check int) "a 1-chain ends at its only slot" 1 (Ring.chain_len r ~pos:0);
   Alcotest.(check int) "op" 1 (Ring.op r ~pos:0);
   Alcotest.(check int) "key" 10 (Ring.key r ~pos:0);
   Alcotest.(check int) "value" 100 (Ring.value r ~pos:0);
   Alcotest.(check bool) "complete wins unopposed" true (Ring.complete r ~pos:0 7);
-  Alcotest.(check int) "reply delivered" 7 (Ring.poll r ~ticket:t0);
-  (* polling acked ticket 0's slot: three more submissions fit (tickets
-     2 and 3 on fresh slots, ticket 4 on the recycled one), then the
-     ring is full because ticket 1 is still pending *)
-  ignore (Ring.try_submit r ~op:0 ~key:0 ~value:0 : int);
-  ignore (Ring.try_submit r ~op:0 ~key:0 ~value:0 : int);
-  Alcotest.(check int) "acked slot recycled on the next lap" 4
-    (Ring.try_submit r ~op:0 ~key:0 ~value:0);
-  Alcotest.(check int) "full ring refuses" (-1) (Ring.try_submit r ~op:0 ~key:0 ~value:0)
-
-let ring_no_lost_no_dup () =
-  let producers = 3 and per_producer = 4_000 in
-  let r = Ring.create ~capacity:64 in
-  let served = Atomic.make 0 in
-  let total = producers * per_producer in
-  let seen = Array.make producers 0 in
-  let sum = Array.make producers 0 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let pos = ref 0 in
-        let spins = ref 0 in
-        while Atomic.get served < total do
-          if Ring.ready r ~pos:!pos then begin
-            spins := 0;
-            let key = Ring.key r ~pos:!pos and tid = Ring.op r ~pos:!pos in
-            seen.(tid) <- seen.(tid) + 1;
-            sum.(tid) <- sum.(tid) + key;
-            ignore (Ring.complete r ~pos:!pos (key + 1) : bool);
-            incr pos;
-            Atomic.incr served
-          end
-          else if !spins < 64 then begin
-            incr spins;
-            Domain.cpu_relax ()
-          end
-          else Unix.sleepf 0.0001
-        done)
-  in
-  let bad_replies = Atomic.make 0 in
-  let prods =
-    Array.init producers (fun tid ->
-        Domain.spawn (fun () ->
-            let spins = ref 0 in
-            for i = 1 to per_producer do
-              let key = (tid * 1_000_000) + i in
-              let ticket = ref (Ring.try_submit r ~op:tid ~key ~value:0) in
-              while !ticket < 0 do
-                if !spins < 64 then begin
-                  incr spins;
-                  Domain.cpu_relax ()
-                end
-                else Unix.sleepf 0.0001;
-                ticket := Ring.try_submit r ~op:tid ~key ~value:0
-              done;
-              spins := 0;
-              let reply = ref (Ring.poll r ~ticket:!ticket) in
-              while !reply < 0 do
-                if !spins < 64 then begin
-                  incr spins;
-                  Domain.cpu_relax ()
-                end
-                else Unix.sleepf 0.0001;
-                reply := Ring.poll r ~ticket:!ticket
-              done;
-              spins := 0;
-              if !reply <> key + 1 then Atomic.incr bad_replies
-            done))
-  in
-  Array.iter Domain.join prods;
-  Domain.join consumer;
-  Alcotest.(check int) "every reply routed to its ticket" 0 (Atomic.get bad_replies);
-  for tid = 0 to producers - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "producer %d: no lost, no dup" tid)
-      per_producer seen.(tid);
-    let expect = tid * 1_000_000 * per_producer + (per_producer * (per_producer + 1) / 2) in
-    Alcotest.(check int) (Printf.sprintf "producer %d: payload intact" tid) expect sum.(tid)
-  done
+  Alcotest.(check int) "reply delivered" 7 (poll1 r ~ticket:t0);
+  (* harvesting acked ticket 0's slot: three more submissions fit
+     (tickets 2 and 3 on fresh slots, ticket 4 on the recycled one),
+     then the ring is full because ticket 1 is still pending *)
+  ignore (submit1 r ~op:0 ~key:0 ~value:0 : int);
+  ignore (submit1 r ~op:0 ~key:0 ~value:0 : int);
+  Alcotest.(check int) "acked slot recycled on the next lap" 4 (submit1 r ~op:0 ~key:0 ~value:0);
+  Alcotest.(check int) "full ring refuses" (-1) (submit1 r ~op:0 ~key:0 ~value:0)
 
 let ring_chain_lifecycle () =
   let r = Ring.create ~capacity:8 in
@@ -265,58 +199,29 @@ let ring_chain_lifecycle () =
   Alcotest.(check int) "full ring refuses a chain" (-1)
     (Ring.try_submit_chain r ~n:1 ~ops:o4 ~keys:o4 ~values:o4 ~off:0)
 
-(* chain = 1 must be byte-for-byte the per-slot protocol: same tickets,
-   same consumer-visible words, same reply/recycle behaviour. *)
-let ring_chain_one_equals_single () =
-  let a = Ring.create ~capacity:4 and b = Ring.create ~capacity:4 in
-  for i = 1 to 6 do
-    let op = i land 3 and key = 10 * i and value = 100 * i in
-    let ta = Ring.try_submit a ~deadline_us:i ~op ~key ~value in
-    let tb =
-      Ring.try_submit_chain b ~deadline_us:i ~n:1 ~ops:[| op |] ~keys:[| key |]
-        ~values:[| value |] ~off:0
-    in
-    Alcotest.(check int) "same ticket" ta tb;
-    Alcotest.(check bool) "both ready" (Ring.ready a ~pos:ta) (Ring.ready b ~pos:tb);
-    Alcotest.(check int) "same op" (Ring.op a ~pos:ta) (Ring.op b ~pos:tb);
-    Alcotest.(check int) "same key" (Ring.key a ~pos:ta) (Ring.key b ~pos:tb);
-    Alcotest.(check int) "same value" (Ring.value a ~pos:ta) (Ring.value b ~pos:tb);
-    Alcotest.(check int) "same stamp" (Ring.stamp a ~pos:ta) (Ring.stamp b ~pos:tb);
-    Alcotest.(check int) "same deadline" (Ring.deadline_us a ~pos:ta) (Ring.deadline_us b ~pos:tb);
-    Alcotest.(check int) "singleton chain" 1 (Ring.chain_len b ~pos:tb);
-    Alcotest.(check int) "same chain word" (Ring.chain_len a ~pos:ta) (Ring.chain_len b ~pos:tb);
-    ignore (Ring.complete a ~pos:ta (key + 1) : bool);
-    ignore (Ring.complete b ~pos:tb (key + 1) : bool);
-    (* a coalesced wait on a 1-chain and a per-slot poll agree *)
-    Alcotest.(check bool) "1-chain done" true (Ring.chain_done b ~ticket:tb ~n:1);
-    let reply_b = Array.make 1 (-1) in
-    Ring.harvest_chain b ~ticket:tb ~n:1 ~replies:reply_b ~off:0;
-    Alcotest.(check int) "same reply" (Ring.poll a ~ticket:ta) reply_b.(0)
-  done
-
 let ring_await_stats () =
   let r = Ring.create ~capacity:4 in
-  let t = Ring.try_submit r ~op:0 ~key:1 ~value:0 in
+  let t = submit1 r ~op:0 ~key:1 ~value:0 in
   let d =
     Domain.spawn (fun () ->
         Unix.sleepf 0.02;
         ignore (Ring.complete r ~pos:t 42 : bool))
   in
-  Alcotest.(check int) "await returns the reply" 42 (Ring.await r ~ticket:t);
+  Alcotest.(check int) "await returns the reply" 42 (await1 r ~ticket:t);
   Domain.join d;
   let st = Ring.stats r in
   Alcotest.(check int) "spin phase ran to its budget" 512 st.Ring.client_spins;
   Alcotest.(check int) "20 ms pushed the waiter onto its lot, once" 1 st.Ring.client_backoffs;
   (* a reply already there costs neither a spin nor a park *)
-  let t = Ring.try_submit r ~op:0 ~key:2 ~value:0 in
+  let t = submit1 r ~op:0 ~key:2 ~value:0 in
   ignore (Ring.complete r ~pos:t 43 : bool);
-  Alcotest.(check int) "completed reply" 43 (Ring.await r ~ticket:t);
+  Alcotest.(check int) "completed reply" 43 (await1 r ~ticket:t);
   let st' = Ring.stats r in
   Alcotest.(check (pair int int)) "no new tallies" (512, 1)
     (st'.Ring.client_spins, st'.Ring.client_backoffs)
 
 (* The park protocol under a seeded multi-producer stress. Producers
-   submit single requests and chains with random gaps, so the consumer
+   submit chains of 1 to 4 with random gaps, so the consumer
    runs dry and parks on the ring's bell; the consumer stalls at random
    before completing, so reply waiters run out of spin phases and park
    on their lots. A lost wake-up on either side hangs the run, which
@@ -360,20 +265,14 @@ let ring_park_stress () =
                   for i = 0 to n - 1 do
                     keys.(i) <- (tid * 1_000_000) + (round * 10) + i
                   done;
-                  let submit () =
-                    if n = 1 then Ring.try_submit r ~op:tid ~key:keys.(0) ~value:0
-                    else Ring.try_submit_chain r ~n ~ops ~keys ~values:keys ~off:0
-                  in
+                  let submit () = Ring.try_submit_chain r ~n ~ops ~keys ~values:keys ~off:0 in
                   let ticket = ref (submit ()) in
                   while !ticket < 0 do
                     Domain.cpu_relax ();
                     ticket := submit ()
                   done;
-                  if n = 1 then replies.(0) <- Ring.await r ~ticket:!ticket
-                  else begin
-                    Ring.await_chain r ~ticket:!ticket ~n;
-                    Ring.harvest_chain r ~ticket:!ticket ~n ~replies ~off:0
-                  end;
+                  Ring.await_chain r ~ticket:!ticket ~n;
+                  Ring.harvest_chain r ~ticket:!ticket ~n ~replies ~off:0;
                   for i = 0 to n - 1 do
                     if replies.(i) <> keys.(i) + 1 then Atomic.incr bad
                   done;
@@ -394,15 +293,17 @@ let ring_park_stress () =
   Alcotest.(check bool) "the consumer parked" true (!consumer_parks > 0);
   Alcotest.(check bool) "a reply waiter parked" true ((Ring.stats r).Ring.client_backoffs > 0)
 
-(* Multi-producer chained no-lost/no-dup: random chain depths, blocking
-   chained submits, coalesced awaits. The consumer is the same
-   slot-at-a-time loop as the per-slot test — chains must not change the
-   consumer's cursor contract. *)
+(* Multi-producer no-lost/no-dup: random chain depths in [1, 8],
+   blocking chained submits, coalesced awaits. The consumer is a plain
+   slot-at-a-time loop — chains must not change the consumer's cursor
+   contract — and it sums each producer's payload keys, which must
+   match what the producer sent. *)
 let ring_chain_no_lost_no_dup () =
   let producers = 3 and chains_per_producer = 600 and max_chain = 8 in
   let r = Ring.create ~capacity:64 in
   let served = Atomic.make 0 in
   let submitted = Array.make producers 0 in
+  let sent = Array.make producers 0 in
   let seen = Array.make producers 0 in
   let sum = Array.make producers 0 in
   let stop = Atomic.make false in
@@ -452,6 +353,9 @@ let ring_chain_no_lost_no_dup () =
                 ticket := Ring.try_submit_chain r ~n ~ops ~keys ~values ~off:0
               done;
               submitted.(tid) <- submitted.(tid) + n;
+              for i = 0 to n - 1 do
+                sent.(tid) <- sent.(tid) + keys.(i)
+              done;
               Ring.await_chain r ~ticket:!ticket ~n;
               Ring.harvest_chain r ~ticket:!ticket ~n ~replies ~off:0;
               for i = 0 to n - 1 do
@@ -470,7 +374,8 @@ let ring_chain_no_lost_no_dup () =
   for tid = 0 to producers - 1 do
     Alcotest.(check int)
       (Printf.sprintf "producer %d: no lost, no dup" tid)
-      submitted.(tid) seen.(tid)
+      submitted.(tid) seen.(tid);
+    Alcotest.(check int) (Printf.sprintf "producer %d: payload intact" tid) sent.(tid) sum.(tid)
   done
 
 (* -- 3. service end-to-end ------------------------------------------------ *)
@@ -486,7 +391,7 @@ let check_percentile_order h =
   Alcotest.(check bool) "p99 <= p99.9" true (p99 <= p999);
   Alcotest.(check bool) "p99.9 <= max" true (p999 <= Histogram.max_ns h)
 
-let service_round ?(mget = 1) ?(chain = 1) (module SET : Dstruct.Set_intf.SET)
+let service_round ?(mget = 1) (module SET : Dstruct.Set_intf.SET)
     ~shards ~batch ~mode ~duration () =
   let config = Config.default ~threads:shards in
   let set =
@@ -514,7 +419,6 @@ let service_round ?(mget = 1) ?(chain = 1) (module SET : Dstruct.Set_intf.SET)
         mode;
         deadline_s = 0.0;
         max_retries = 0;
-        chain;
       }
   in
   Service.stop svc;
@@ -543,13 +447,14 @@ let mget_reply () =
   SET.flush s0;
   let svc = Service.create (module SET) set ~shards ~batch ~ring_capacity:64 in
   Service.start svc;
+  let c = Service.client svc in
+  let reply = [| -1 |] in
   let mget ~key ~n =
-    let shard = Service.shard_of_key svc key in
-    let ticket =
-      Service.try_submit svc ~shard ~op:Service.op_mget ~key ~value:n
-    in
-    Alcotest.(check bool) "submitted" true (ticket >= 0);
-    Service.await svc ~shard ~ticket
+    ignore
+      (Service.execute c ~n:1 ~ops:[| Service.op_mget |] ~keys:[| key |] ~values:[| n |]
+         ~replies:reply
+        : int);
+    reply.(0)
   in
   Alcotest.(check int) "8/8 present" (Service.reply_mget_base + 8) (mget ~key:100 ~n:8);
   Alcotest.(check int) "0/4 present" Service.reply_mget_base (mget ~key:500 ~n:4);
@@ -590,12 +495,13 @@ let fault_service_round seed =
         key_range = 1024;
         zipf_alpha = None;
         seed;
-        mode = Loadgen.Closed { pipeline = 8 };
+        (* Alternate window and chained clients, so fault plans also
+           fire against in-flight chains. *)
+        mode =
+          (if seed mod 2 = 0 then Loadgen.Closed { pipeline = 8 }
+           else Loadgen.Chained { chain = 1 + (seed mod 4) });
         deadline_s = 0.0;
         max_retries = 0;
-        (* Alternate per-slot and chained clients, so fault plans also
-           fire against in-flight chains. *)
-        chain = (if seed mod 2 = 0 then 1 else 1 + (seed mod 4));
       }
   in
   Service.stop svc;
@@ -654,11 +560,77 @@ let service_idle_stop () =
   let set = SET.create ~threads:shards ~capacity:4096 (Config.default ~threads:shards) in
   let svc = Service.create (module SET) set ~shards ~batch:8 ~ring_capacity:64 in
   Service.start svc;
-  let t = Service.try_submit svc ~shard:1 ~op:Service.op_insert ~key:5 ~value:5 in
-  Alcotest.(check int) "served before idling" Service.reply_true (Service.await svc ~shard:1 ~ticket:t);
+  let shard = Service.shard_of_key svc 5 in
+  let t =
+    Service.try_submit_chain svc ~shard ~n:1 ~ops:[| Service.op_insert |] ~keys:[| 5 |]
+      ~values:[| 5 |] ~off:0
+  in
+  Service.await_chain svc ~shard ~ticket:t ~n:1;
+  let reply = [| -1 |] in
+  Service.harvest_chain svc ~shard ~ticket:t ~n:1 ~replies:reply ~off:0;
+  Alcotest.(check int) "served before idling" Service.reply_true reply.(0);
   (* 64 cpu_relax rounds then park: 0.2 s is idle far beyond that *)
   Unix.sleepf 0.2;
   Common.within_deadline ~seconds:1.0 "Service.stop on parked shards" (fun () -> Service.stop svc)
+
+(* A deadline already past: the shards shed every request busy and
+   execute none. [Frontend] never passes a deadline, so this is the
+   executor's only deadline pass-through check. 100 inserts on 64-slot
+   rings also make each shard's bucket split at half a ring. *)
+let execute_past_deadline () =
+  let shards = 2 and n = 100 in
+  let (module SET : Dstruct.Set_intf.SET) = make_hash (module Mp.Margin_ptr) in
+  let set = SET.create ~threads:shards ~capacity:4096 (Config.default ~threads:shards) in
+  let svc = Service.create (module SET) set ~shards ~batch:8 ~ring_capacity:64 in
+  Service.start svc;
+  let c = Service.client svc in
+  let ops = Array.make n Service.op_insert and keys = Array.init n Fun.id in
+  let replies = Array.make n (-1) in
+  ignore (Service.execute c ~deadline_us:1 ~n ~ops ~keys ~values:keys ~replies : int);
+  Alcotest.(check (array int)) "every op shed busy" (Array.make n Service.reply_busy) replies;
+  (* none of them ran: the same inserts without a deadline all land *)
+  ignore (Service.execute c ~n ~ops ~keys ~values:keys ~replies : int);
+  Alcotest.(check (array int)) "then every insert executes" (Array.make n Service.reply_true)
+    replies;
+  Service.stop svc;
+  let st = Service.stats svc in
+  Alcotest.(check int) "sheds counted" n st.Service.shed_busy;
+  Alcotest.(check int) "only the second batch executed" n st.Service.ops
+
+(* Chained rounds longer than half the ring: [Service.execute] splits a
+   shard's bucket at half the ring instead of refusing it. One shard,
+   so every round puts all 48 requests on one 64-slot ring. *)
+let chained_longer_than_half_ring () =
+  let shards = 1 in
+  let (module SET : Dstruct.Set_intf.SET) = make_hash (module Mp.Margin_ptr) in
+  let set =
+    SET.create ~threads:shards ~capacity:8192 ~check_access:true (Config.default ~threads:shards)
+  in
+  let svc = Service.create (module SET) set ~shards ~batch:8 ~ring_capacity:64 in
+  Service.start svc;
+  let lg =
+    Loadgen.run svc
+      {
+        clients = 2;
+        duration_s = 0.2;
+        warmup_s = 0.0;
+        read_pct = 60;
+        insert_pct = 20;
+        mget = 1;
+        key_range = 2048;
+        zipf_alpha = None;
+        seed = 4343;
+        mode = Loadgen.Chained { chain = 48 };
+        deadline_s = 0.0;
+        max_retries = 0;
+      }
+  in
+  Service.stop svc;
+  Alcotest.(check bool) "completed some" true (lg.Loadgen.completed_reqs > 0);
+  Alcotest.(check int) "conservation: every request answered once" lg.Loadgen.submitted
+    (lg.Loadgen.completed_reqs + lg.Loadgen.rejected + lg.Loadgen.busy + lg.Loadgen.oom
+   + lg.Loadgen.deadline_exceeded);
+  Alcotest.(check int) "no use-after-free" 0 (SET.violations set)
 
 (* -- suites --------------------------------------------------------------- *)
 
@@ -673,9 +645,7 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "slot lifecycle" `Quick ring_lifecycle;
-          Alcotest.test_case "no lost, no dup (3 producers)" `Slow ring_no_lost_no_dup;
           Alcotest.test_case "chain lifecycle" `Quick ring_chain_lifecycle;
-          Alcotest.test_case "chain of 1 = per-slot protocol" `Quick ring_chain_one_equals_single;
           Alcotest.test_case "await tallies spins and backoffs" `Quick ring_await_stats;
           Alcotest.test_case "chained no lost, no dup (3 producers)" `Slow ring_chain_no_lost_no_dup;
           Alcotest.test_case "park/wake stress: both sides park, nothing lost" `Slow
@@ -689,8 +659,12 @@ let () =
           Alcotest.test_case "multi-get replies and window rollover" `Quick mget_reply;
           Alcotest.test_case "stop wakes parked shards" `Quick service_idle_stop;
           Alcotest.test_case "chained closed loop, hash × mp, B=8, chain=8" `Slow
-            (service_round (make_hash (module Mp.Margin_ptr)) ~chain:8 ~shards:2 ~batch:8
-               ~mode:(Loadgen.Closed { pipeline = 8 }) ~duration:0.25);
+            (service_round (make_hash (module Mp.Margin_ptr)) ~shards:2 ~batch:8
+               ~mode:(Loadgen.Chained { chain = 8 }) ~duration:0.25);
+          Alcotest.test_case "execute: a past deadline sheds every op" `Quick
+            execute_past_deadline;
+          Alcotest.test_case "chained rounds longer than half the ring" `Slow
+            chained_longer_than_half_ring;
           Alcotest.test_case "closed loop, list × hp, B=1" `Slow
             (service_round (make_list (module Smr_schemes.Hp)) ~shards:2 ~batch:1
                ~mode:(Loadgen.Closed { pipeline = 4 }) ~duration:0.2);
