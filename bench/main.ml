@@ -18,6 +18,8 @@ module Workload = Mp_harness.Workload
 module Runner = Mp_harness.Runner
 module Report = Mp_harness.Report
 module Instances = Mp_harness.Instances
+module Scenario = Mp_harness.Scenario
+module Loadgen = Mp_service.Loadgen
 
 let full = Sys.getenv_opt "MP_BENCH_FULL" <> None
 
@@ -979,106 +981,89 @@ let latency () =
 (* --shards N restricts the shard sweep (the CI smoke job runs 2). *)
 let service_shards : int option ref = ref None
 
-(* One service run: an [Instances] structure sharded across N domains,
-   driven by the closed- or open-loop load generator. The numbers are
-   folded into a Runner.result so the service rows share the JSON schema
-   (and the latency/waste fields) with every other experiment; fields
-   the service cannot measure per-domain (GC words) report 0. *)
-let run_service ?zipf ?(mget = 1) ?(clients = 2) ds sname ~shards
-    ~batch ~mode ~read_pct ~insert_pct ~init_size =
-  let module Service = Mp_service.Service in
-  let module Loadgen = Mp_service.Loadgen in
-  let (module SET : Dstruct.Set_intf.SET) =
-    Instances.make ds (Instances.scheme_of_name sname)
-  in
-  let config = Config.default ~threads:shards in
-  let capacity = (init_size * 4) + (shards * 65536) in
-  let set = SET.create ~threads:shards ~capacity config in
-  let s0 = SET.session set ~tid:0 in
-  let rng = Mp_util.Rng.create 7 in
-  let inserted = ref 0 in
-  while !inserted < init_size do
-    if SET.insert s0 ~key:(Mp_util.Rng.below rng (2 * init_size)) ~value:1 then incr inserted
-  done;
-  SET.flush s0;
-  let stats0 = SET.smr_stats set in
-  let traversed0 = SET.traversed set in
-  let svc = Service.create (module SET) set ~shards ~batch ~ring_capacity:1024 in
-  Service.start svc;
-  (* The loadgen's ~2 ms tick doubles as the wasted-memory sampler. *)
-  let wasted_sum = ref 0.0 and wasted_samples = ref 0 and wasted_max = ref 0 in
-  let tick () =
-    let w = (SET.smr_stats set).Smr_core.Smr_intf.wasted in
-    wasted_sum := !wasted_sum +. float_of_int w;
-    incr wasted_samples;
-    if w > !wasted_max then wasted_max := w
-  in
-  let lg =
-    Loadgen.run ~tick svc
+(* One bench row from a scenario phase: the phase's client result and
+   counter deltas, plus the run's watchdog verdict and end state. The GC
+   fields are not measured per shard domain and stay 0. *)
+let scenario_row ~mix_name ~shards (r : Scenario.result) (p : Scenario.phase) =
+  let open Scenario in
+  let lg = p.lg and st = r.stats in
+  {
+    Runner.spec_threads = shards;
+    mix_name;
+    total_ops = lg.Loadgen.completed;
+    throughput = lg.Loadgen.throughput;
+    wasted_avg = p.wasted_avg;
+    wasted_max = p.wasted_max;
+    wasted_peak = r.wasted_peak;
+    fences = p.fences;
+    traversed = p.traversed;
+    fences_per_node =
+      (if p.traversed = 0 then 0.0 else float_of_int p.fences /. float_of_int p.traversed);
+    scan_passes = p.scan_passes;
+    scan_time_s = p.scan_time_s;
+    violations = r.violations;
+    oom = st.Service.oom > 0;
+    alloc_stalls = st.Service.alloc_stalls;
+    ring_full = lg.Loadgen.ring_full;
+    deadline_exceeded = lg.Loadgen.deadline_exceeded;
+    crashed = r.crashed;
+    pinning_tids = r.pinning;
+    watchdog = Some r.watchdog;
+    final_size = r.final_size;
+    latency = Some lg.Loadgen.latency;
+    alloc_words_per_op = 0.0;
+    promoted_words_per_op = 0.0;
+    minor_gcs = 0;
+    arenas_attached = r.arenas_attached;
+    arenas_detached = r.arenas_detached;
+    resident_slots = r.resident_slots;
+  }
+
+(* One service run: the hash set sharded across N domains, driven by the
+   closed-loop, open-loop or chained load generator. *)
+let run_service ?zipf ?(mget = 1) ?(clients = 2) sname ~shards ~batch ~mode ~read_pct
+    ~insert_pct ~init_size =
+  let r =
+    Scenario.run
       {
-        Loadgen.clients;
-        duration_s = Float.max duration_s 0.5;
-        warmup_s = Float.min !warmup 0.2;
-        read_pct;
-        insert_pct;
-        mget;
-        key_range = 2 * init_size;
-        zipf_alpha = zipf;
-        seed = 0xC0FFEE;
-        mode;
-        deadline_s = 0.0;
-        max_retries = 0;
+        Scenario.scheme = Instances.scheme_of_name sname;
+        shards;
+        spare_tids = None;
+        batch;
+        ring_capacity = 1024;
+        capacity = (init_size * 4) + (shards * 65536);
+        max_arenas = 1;
+        prefill = Scenario.Random init_size;
+        check_access = false;
+        plan = None;
+        phases =
+          [
+            {
+              Loadgen.clients;
+              duration_s = Float.max duration_s 0.5;
+              warmup_s = Float.min !warmup 0.2;
+              read_pct;
+              insert_pct;
+              mget;
+              key_range = 2 * init_size;
+              zipf_alpha = zipf;
+              seed = 0xC0FFEE;
+              mode;
+              deadline_s = 0.0;
+              max_retries = 0;
+            };
+          ];
       }
   in
-  Service.stop svc;
-  let st = Service.stats svc in
-  let stats1 = SET.smr_stats set in
-  let traversed = SET.traversed set - traversed0 in
-  let fences = stats1.Smr_core.Smr_intf.fences - stats0.Smr_core.Smr_intf.fences in
-  let r =
-    {
-      Runner.spec_threads = shards;
-      mix_name =
-        Printf.sprintf "svc_%s_%dr%di%s%s_B%d"
-          (match mode with Loadgen.Open _ -> "open" | Loadgen.Closed _ | Loadgen.Chained _ -> "closed")
-          read_pct insert_pct
-          (if mget > 1 then Printf.sprintf "_m%d" mget else "")
-          (match mode with Loadgen.Chained { chain } -> Printf.sprintf "_c%d" chain | _ -> "")
-          batch;
-      total_ops = lg.Loadgen.completed;
-      throughput = lg.Loadgen.throughput;
-      wasted_avg =
-        (if !wasted_samples = 0 then 0.0
-         else !wasted_sum /. float_of_int !wasted_samples);
-      wasted_max = !wasted_max;
-      wasted_peak = stats1.Smr_core.Smr_intf.wasted_peak;
-      fences;
-      traversed;
-      fences_per_node =
-        (if traversed = 0 then 0.0 else float_of_int fences /. float_of_int traversed);
-      scan_passes =
-        stats1.Smr_core.Smr_intf.scan_passes - stats0.Smr_core.Smr_intf.scan_passes;
-      scan_time_s =
-        stats1.Smr_core.Smr_intf.scan_time_s -. stats0.Smr_core.Smr_intf.scan_time_s;
-      violations = SET.violations set;
-      oom = st.Service.oom > 0;
-      alloc_stalls = lg.Loadgen.drops;
-      ring_full = lg.Loadgen.ring_full;
-      deadline_exceeded = lg.Loadgen.deadline_exceeded;
-      crashed = [];
-      pinning_tids = SET.pinning_tids set;
-      watchdog = None;
-      final_size = SET.size set;
-      latency = Some lg.Loadgen.latency;
-      alloc_words_per_op = 0.0;
-      promoted_words_per_op = 0.0;
-      minor_gcs = 0;
-      arenas_attached = Mempool.Core.arenas_attached (SET.pool set);
-      arenas_detached = Mempool.Core.arenas_detached (SET.pool set);
-      resident_slots = Mempool.Core.resident_slots (SET.pool set);
-    }
+  let mix_name =
+    Printf.sprintf "svc_%s_%dr%di%s%s_B%d"
+      (match mode with Loadgen.Open _ -> "open" | Loadgen.Closed _ | Loadgen.Chained _ -> "closed")
+      read_pct insert_pct
+      (if mget > 1 then Printf.sprintf "_m%d" mget else "")
+      (match mode with Loadgen.Chained { chain } -> Printf.sprintf "_c%d" chain | _ -> "")
+      batch
   in
-  (note ~ds:(ds_name ds) ~scheme:sname r, st)
+  (note ~ds:"hash" ~scheme:sname (scenario_row ~mix_name ~shards r (List.hd r.Scenario.phases)), r)
 
 let service () =
   (* Read-heavy service mix; the batched-vs-unbatched comparison the
@@ -1106,13 +1091,13 @@ let service () =
                  stay published, so repeated reads hit the own-slot mirror
                  and skip the fence; at B=1 every request tears them down
                  and republishes. *)
-              run_service Instances.Hash_ds sname ~shards ~batch
-                ~zipf:0.99 ~mget:16
-                ~mode:(Mp_service.Loadgen.Closed { pipeline = 128 })
+              run_service sname ~shards ~batch ~zipf:0.99 ~mget:16
+                ~mode:(Loadgen.Closed { pipeline = 128 })
                 ~read_pct ~insert_pct ~init_size
             in
             let r1, _ = run 1 in
-            let rb, stb = run batched_b in
+            let rb, sb = run batched_b in
+            let stb = sb.Scenario.stats in
             let pct h q = string_of_int (Mp_util.Histogram.percentile_ns h q) in
             let lat = Option.get rb.Runner.latency in
             [
@@ -1146,9 +1131,9 @@ let service () =
   (* One open-loop (Poisson) row: latency measured from scheduled arrival
      (coordinated-omission corrected), drops reported instead of hidden. *)
   let shards = match !service_shards with Some n -> n | None -> 2 in
-  let r, _ =
-    run_service Instances.Hash_ds "mp" ~shards ~batch:batched_b ~mget:16
-      ~mode:(Mp_service.Loadgen.Open { rate = 50_000.0; window = 64 })
+  let r, sr =
+    run_service "mp" ~shards ~batch:batched_b ~mget:16
+      ~mode:(Loadgen.Open { rate = 50_000.0; window = 64 })
       ~read_pct ~insert_pct ~init_size
   in
   let lat = Option.get r.Runner.latency in
@@ -1160,7 +1145,7 @@ let service () =
       [
         "mp"; string_of_int shards;
         Report.fmt_throughput r.Runner.throughput;
-        string_of_int r.Runner.alloc_stalls;
+        string_of_int (List.hd sr.Scenario.phases).Scenario.lg.Loadgen.drops;
         string_of_int r.Runner.ring_full;
         pct 50.0; pct 99.0; pct 99.9;
       ];
@@ -1174,152 +1159,82 @@ let service () =
    insert-heavy open-loop: the pool must grow on demand, absorbing
    transient exhaustion as alloc stalls and never replying OOM below
    max_arenas. The decay phase is remove-heavy: the autoscale target
-   falls and the drains it requests must bring the footprint back. A
-   post-stop settle sweep completes any drain still pending, so the
+   falls and the drains it requests must bring the footprint back. The
+   scenario's post-stop settle completes any drain still pending, so the
    reported residency is the steady decayed state. One spike row and one
    decay row per scheme land in the JSON (mix names svc_elastic_spike /
-   svc_elastic_decay); the decay row's arena counters are the end-state
-   ones. *)
+   svc_elastic_decay), each with its own phase's counters; the arena
+   counters are the end-state ones. *)
 let run_elastic sname =
-  let module Service = Mp_service.Service in
-  let module Loadgen = Mp_service.Loadgen in
-  let (module SET : Dstruct.Set_intf.SET) =
-    Instances.make Instances.Hash_ds (Instances.scheme_of_name sname)
-  in
   let shards = match !service_shards with Some n -> n | None -> 2 in
-  let capacity = 4096 and max_arenas = 4 in
   (* 1.5 arenas of keys: the spike's working set cannot fit arena 0, and
      two arenas of headroom keep transients clear of hard exhaustion. *)
-  let range = capacity * 3 / 2 in
-  let config = Config.with_max_arenas (Config.default ~threads:shards) max_arenas in
-  let set = SET.create ~threads:shards ~capacity config in
-  let pool = SET.pool set in
-  let s0 = SET.session set ~tid:0 in
-  for k = 0 to 255 do
-    ignore (SET.insert s0 ~key:(k * 2) ~value:k : bool)
-  done;
-  SET.flush s0;
-  let stats0 = SET.smr_stats set in
-  let traversed0 = SET.traversed set in
-  let svc =
-    Service.create ~autoscale:Service.default_autoscale
-      (module SET)
-      set ~shards ~batch:8 ~ring_capacity:1024
-  in
-  Service.start svc;
-  let peak_arenas = ref (Mempool.Core.attached_arenas pool) in
-  let wasted_sum = ref 0.0 and wasted_samples = ref 0 and wasted_max = ref 0 in
-  let tick () =
-    (* The draining arena's parked slots are waste until the detach. *)
-    let w =
-      (SET.smr_stats set).Smr_core.Smr_intf.wasted + Mempool.Core.detaching_slots pool
-    in
-    wasted_sum := !wasted_sum +. float_of_int w;
-    incr wasted_samples;
-    if w > !wasted_max then wasted_max := w;
-    let n = Mempool.Core.attached_arenas pool in
-    if n > !peak_arenas then peak_arenas := n
-  in
+  let capacity = 4096 in
   let phase ~duration_s ~rate ~read_pct ~insert_pct ~seed =
-    Loadgen.run ~tick svc
-      {
-        Loadgen.clients = 2;
-        duration_s;
-        warmup_s = 0.0;
-        read_pct;
-        insert_pct;
-        mget = 1;
-        key_range = range;
-        zipf_alpha = None;
-        seed;
-        mode = Loadgen.Open { rate; window = 32 };
-        deadline_s = 0.0;
-        max_retries = 0;
-      }
-  in
-  let spike_s = if full then 2.0 else 0.8 in
-  let decay_s = if full then 3.0 else 1.2 in
-  let spike = phase ~duration_s:spike_s ~rate:60_000.0 ~read_pct:5 ~insert_pct:90 ~seed:0xE1A5 in
-  let arenas_at_spike_end = Mempool.Core.attached_arenas pool in
-  let decay = phase ~duration_s:decay_s ~rate:40_000.0 ~read_pct:20 ~insert_pct:0 ~seed:0xDECA in
-  Service.stop svc;
-  (* Settle: complete any drain still pending — the exiting workers have
-     handed their magazines back, so a single-threaded remove sweep plus
-     flush-driven scans gets every straggler parked and detached. *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let k = ref 0 in
-  while Mempool.Core.attached_arenas pool > 1 && Unix.gettimeofday () < deadline do
-    ignore (Mempool.Core.request_shrink pool : int option);
-    for _ = 1 to 512 do
-      ignore (SET.remove s0 !k : bool);
-      k := (!k + 1) mod range
-    done;
-    SET.flush s0;
-    Mempool.Core.release_local pool ~tid:0
-  done;
-  let st = Service.stats svc in
-  let stats1 = SET.smr_stats set in
-  let traversed = SET.traversed set - traversed0 in
-  let fences = stats1.Smr_core.Smr_intf.fences - stats0.Smr_core.Smr_intf.fences in
-  let mk (lg : Loadgen.result) name =
     {
-      Runner.spec_threads = shards;
-      mix_name = name;
-      total_ops = lg.Loadgen.completed;
-      throughput = lg.Loadgen.throughput;
-      wasted_avg =
-        (if !wasted_samples = 0 then 0.0
-         else !wasted_sum /. float_of_int !wasted_samples);
-      wasted_max = !wasted_max;
-      wasted_peak = stats1.Smr_core.Smr_intf.wasted_peak;
-      fences;
-      traversed;
-      fences_per_node =
-        (if traversed = 0 then 0.0 else float_of_int fences /. float_of_int traversed);
-      scan_passes =
-        stats1.Smr_core.Smr_intf.scan_passes - stats0.Smr_core.Smr_intf.scan_passes;
-      scan_time_s =
-        stats1.Smr_core.Smr_intf.scan_time_s -. stats0.Smr_core.Smr_intf.scan_time_s;
-      violations = SET.violations set;
-      oom = st.Service.oom > 0;
-      alloc_stalls = st.Service.alloc_stalls;
-      ring_full = lg.Loadgen.ring_full;
-      deadline_exceeded = lg.Loadgen.deadline_exceeded;
-      crashed = [];
-      pinning_tids = SET.pinning_tids set;
-      watchdog = None;
-      final_size = SET.size set;
-      latency = Some lg.Loadgen.latency;
-      alloc_words_per_op = 0.0;
-      promoted_words_per_op = 0.0;
-      minor_gcs = 0;
-      arenas_attached = Mempool.Core.arenas_attached pool;
-      arenas_detached = Mempool.Core.arenas_detached pool;
-      resident_slots = Mempool.Core.resident_slots pool;
+      Loadgen.clients = 2;
+      duration_s;
+      warmup_s = 0.0;
+      read_pct;
+      insert_pct;
+      mget = 1;
+      key_range = capacity * 3 / 2;
+      zipf_alpha = None;
+      seed;
+      mode = Loadgen.Open { rate; window = 32 };
+      deadline_s = 0.0;
+      max_retries = 0;
     }
   in
-  let rs = note ~ds:(ds_name Instances.Hash_ds) ~scheme:sname (mk spike "svc_elastic_spike") in
-  let rd = note ~ds:(ds_name Instances.Hash_ds) ~scheme:sname (mk decay "svc_elastic_decay") in
-  (rs, rd, st, arenas_at_spike_end, !peak_arenas)
+  let r =
+    Scenario.run
+      {
+        Scenario.scheme = Instances.scheme_of_name sname;
+        shards;
+        spare_tids = None;
+        batch = 8;
+        ring_capacity = 1024;
+        capacity;
+        max_arenas = 4;
+        prefill = Scenario.Even 256;
+        check_access = false;
+        plan = None;
+        phases =
+          [
+            phase ~duration_s:(if full then 2.0 else 0.8) ~rate:60_000.0 ~read_pct:5
+              ~insert_pct:90 ~seed:0xE1A5;
+            phase ~duration_s:(if full then 3.0 else 1.2) ~rate:40_000.0 ~read_pct:20
+              ~insert_pct:0 ~seed:0xDECA;
+          ];
+      }
+  in
+  List.iter2
+    (fun mix_name p ->
+      ignore (note ~ds:"hash" ~scheme:sname (scenario_row ~mix_name ~shards r p) : Runner.result))
+    [ "svc_elastic_spike"; "svc_elastic_decay" ] r.Scenario.phases;
+  r
 
 let elastic () =
   let rows =
     List.map
       (fun sname ->
-        let rs, rd, st, at_spike_end, peak = run_elastic sname in
-        let module Service = Mp_service.Service in
+        let r = run_elastic sname in
+        let st = r.Scenario.stats in
+        let tput (p : Scenario.phase) = Report.fmt_throughput p.Scenario.lg.Loadgen.throughput in
+        let spike = List.hd r.Scenario.phases and decay = List.nth r.Scenario.phases 1 in
+        let open Mp_service.Service in
         [
           sname;
-          string_of_int peak;
-          string_of_int at_spike_end;
-          string_of_int rd.Runner.arenas_attached;
-          string_of_int rd.Runner.arenas_detached;
-          string_of_int rd.Runner.resident_slots;
-          string_of_int st.Service.live_peak;
-          string_of_int st.Service.alloc_stalls;
-          string_of_int st.Service.oom;
-          Report.fmt_throughput rs.Runner.throughput;
-          Report.fmt_throughput rd.Runner.throughput;
+          string_of_int r.Scenario.peak_arenas;
+          string_of_int spike.Scenario.arenas_at_end;
+          string_of_int r.Scenario.arenas_attached;
+          string_of_int r.Scenario.arenas_detached;
+          string_of_int r.Scenario.resident_slots;
+          string_of_int st.live_peak;
+          string_of_int st.alloc_stalls;
+          string_of_int st.oom;
+          tput spike;
+          tput decay;
         ])
       [ "mp"; "hp"; "ebr"; "he"; "ibr" ]
   in
@@ -1344,7 +1259,6 @@ let socket_path : string option ref = ref None
    JSON schema; SMR-side fields are 0 (they live in the server's own
    exit stats line). *)
 let transport_socket path =
-  let module Loadgen = Mp_service.Loadgen in
   let run chain =
     let lg =
       Loadgen.run_socket ~path
@@ -1409,7 +1323,7 @@ let transport_socket path =
           (if r.Runner.throughput > 0.0 then
              Printf.sprintf "%.0f" (1e9 /. r.Runner.throughput)
            else "-");
-          string_of_int lg.Mp_service.Loadgen.rejected;
+          string_of_int lg.Loadgen.rejected;
           pct 50.0;
           pct 99.0;
           pct 99.9;
@@ -1439,11 +1353,10 @@ let transport_inproc () =
        flight is what that path has instead of chains); chained clients
        run one batch of [chain] per round through [Service.execute]. *)
     let mode =
-      if chain > 1 then Mp_service.Loadgen.Chained { chain }
-      else Mp_service.Loadgen.Closed { pipeline = 8 }
+      if chain > 1 then Loadgen.Chained { chain }
+      else Loadgen.Closed { pipeline = 8 }
     in
-    run_service Instances.Hash_ds sname ~shards ~batch ~zipf:0.99 ~mode ~clients
-      ~read_pct ~insert_pct ~init_size
+    run_service sname ~shards ~batch ~zipf:0.99 ~mode ~clients ~read_pct ~insert_pct ~init_size
   in
   let rows =
     List.concat_map
@@ -1451,9 +1364,8 @@ let transport_inproc () =
         (* PR 5's in-process amortization reference: 16-key multi-gets
            from a window of 1-chains. *)
         let mget_ref, _ =
-          run_service Instances.Hash_ds sname ~shards ~batch:32 ~zipf:0.99
-            ~mget:16
-            ~mode:(Mp_service.Loadgen.Closed { pipeline = 128 })
+          run_service sname ~shards ~batch:32 ~zipf:0.99 ~mget:16
+            ~mode:(Loadgen.Closed { pipeline = 128 })
             ~clients:2 ~read_pct ~insert_pct ~init_size
         in
         let base = ref 0.0 in

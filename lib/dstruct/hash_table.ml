@@ -12,8 +12,13 @@
     Keys are partitioned, not just distributed: bucket b stores exactly the
     keys hashing to b, and within a bucket keys are sorted by a
     bucket-local order (the key itself), so Definition 4.1 holds per
-    bucket. Sentinels: each bucket has its own head; all buckets share one
-    tail sentinel. *)
+    bucket. So is MP's index space: bucket b's head and tail sentinels
+    carry indices [b * span] and [(b + 1) * span - 1], so every node of
+    bucket b gets an index strictly inside that range and a margin only
+    ever covers nodes of the bucket it was published for. A range shared
+    by every bucket would give each empty bucket's first node the same
+    midpoint index, so one margin on any of them would keep every retired
+    midpoint node of every bucket until the next epoch advance. *)
 
 module Sc = Mp_util.Striped_counter
 module Config = Smr_core.Config
@@ -28,8 +33,7 @@ module Make (S : Smr_core.Smr_intf.S) = struct
   type t = {
     pool : node Mempool.t;
     smr : S.t;
-    heads : int array; (* bucket head sentinel ids *)
-    tail : int;
+    heads : int array; (* bucket head sentinel ids; tails carry key max_int *)
     buckets : int;
     traversed : Sc.t;
     threads : int;
@@ -70,18 +74,18 @@ module Make (S : Smr_core.Smr_intf.S) = struct
       S.create ~pool:(Mempool.core pool) ~threads (Config.with_slots config slots_needed)
     in
     let th0 = S.thread smr ~tid:0 in
-    let tail = S.alloc_with_index th0 ~index:Config.max_sentinel_index in
-    (Mempool.unsafe_get pool tail).key <- max_int;
-    let tail_w = S.handle_of th0 tail in
+    let span = (Config.max_sentinel_index + 1) / buckets in
     let heads =
-      Array.init buckets (fun _ ->
-          let h = S.alloc_with_index th0 ~index:Config.min_sentinel_index in
+      Array.init buckets (fun b ->
+          let tail = S.alloc_with_index th0 ~index:(((b + 1) * span) - 1) in
+          (Mempool.unsafe_get pool tail).key <- max_int;
+          let h = S.alloc_with_index th0 ~index:(b * span) in
           let hn = Mempool.unsafe_get pool h in
           hn.key <- min_int;
-          Atomic.set hn.next tail_w;
+          Atomic.set hn.next (S.handle_of th0 tail);
           h)
     in
-    { pool; smr; heads; tail; buckets; traversed = Sc.create ~threads; threads }
+    { pool; smr; heads; buckets; traversed = Sc.create ~threads; threads }
 
   let session t ~tid =
     {
@@ -234,10 +238,8 @@ module Make (S : Smr_core.Smr_intf.S) = struct
       (fun acc head ->
         let rec go acc w =
           let id = Handle.id w in
-          if id = t.tail then acc
-          else
-            let n = Mempool.unsafe_get t.pool id in
-            go (f acc id n) (Handle.with_mark (Atomic.get n.next) 0)
+          let n = Mempool.unsafe_get t.pool id in
+          if n.key = max_int then acc else go (f acc id n) (Handle.with_mark (Atomic.get n.next) 0)
         in
         go acc (Handle.with_mark (Atomic.get (Mempool.unsafe_get t.pool head).next) 0))
       acc t.heads
@@ -248,9 +250,8 @@ module Make (S : Smr_core.Smr_intf.S) = struct
     Array.iteri
       (fun b head ->
         let rec go last w =
-          let id = Handle.id w in
-          if id <> t.tail then begin
-            let n = Mempool.unsafe_get t.pool id in
+          let n = Mempool.unsafe_get t.pool (Handle.id w) in
+          if n.key <> max_int then begin
             if n.key <= last then failwith "hash_table: bucket keys not strictly increasing";
             if bucket t n.key <> b then failwith "hash_table: key in wrong bucket";
             if Handle.mark (Atomic.get n.next) land deleted <> 0 then

@@ -53,9 +53,6 @@ let fmt_throughput ops_per_s =
   else if ops_per_s >= 1e3 then Printf.sprintf "%.1fK" (ops_per_s /. 1e3)
   else Printf.sprintf "%.0f" ops_per_s
 
-let fmt_float f = Printf.sprintf "%.2f" f
-let fmt_int = string_of_int
-
 (** Allocation-telemetry column: GC-visible words per operation. Two
     decimals resolve the "~0 on the zero-allocation read path" claim
     without drowning the table when a path does allocate. *)

@@ -4,8 +4,6 @@
 
 val table : title:string -> header:string list -> string list list -> unit
 val fmt_throughput : float -> string
-val fmt_float : float -> string
-val fmt_int : int -> string
 
 (** Format an [alloc_words_per_op] telemetry value for a table cell. *)
 val fmt_words_per_op : float -> string

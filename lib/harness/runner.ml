@@ -425,18 +425,20 @@ let result_to_json ?(experiment = "") ?(ds = "") ?(scheme = "") (r : result) =
     (json_float r.alloc_words_per_op) (json_float r.promoted_words_per_op) r.minor_gcs
     r.arenas_attached r.arenas_detached r.resident_slots
 
-(** Version of the JSON layout emitted by {!results_to_json} (and the
-    soak harness, which mirrors it). 2 = the versioned envelope itself
+(** Version of the JSON layout emitted by {!envelope} (bench and soak
+    reports alike). 2 = the versioned envelope itself
     plus [wasted_peak] and [lat_p999_ns]; 1 = the bare result array of
     earlier revisions. Bump on any field removal or meaning change;
     additions are compatible within a version. *)
 let schema_version = 2
 
-(** Serialize a batch of labelled results as a versioned envelope:
+(** Wrap rendered JSON objects in the versioned envelope
     [{"schema_version":N,"results":[...]}]. *)
-let results_to_json entries =
+let envelope objects =
   Printf.sprintf "{\"schema_version\":%d,\"results\":[\n  %s\n]}\n" schema_version
-    (String.concat ",\n  "
-       (List.map
-          (fun (experiment, ds, scheme, r) -> result_to_json ~experiment ~ds ~scheme r)
-          entries))
+    (String.concat ",\n  " objects)
+
+(** Serialize a batch of labelled results as a versioned envelope. *)
+let results_to_json entries =
+  envelope
+    (List.map (fun (experiment, ds, scheme, r) -> result_to_json ~experiment ~ds ~scheme r) entries)

@@ -804,12 +804,7 @@ module Core = struct
       if id >= 0 then id else alloc_slow t ~tid l
     end
 
-  (** Non-raising {!alloc}: [None] when no slot is reachable, so callers
-      can degrade into backpressure (retry with backoff, count the stall)
-      instead of unwinding. *)
-  let alloc_opt t ~tid = match alloc t ~tid with id -> Some id | exception Exhausted -> None
-
-  (** Was this thread's last {!Exhausted} (or [None]) a {e hard}
+  (** Was this thread's last {!Exhausted} a {e hard}
       exhaustion — the pool at [max_arenas] with no grow or drain in
       flight, so waiting out a backoff schedule cannot be satisfied by an
       arena attach? Always false for fixed-size ([max_arenas = 1]) pools,
@@ -992,7 +987,6 @@ let[@inline] get t id =
 let[@inline] unsafe_get t id = t.payloads.(id lsr t.off_bits).(id land t.off_mask)
 
 let alloc t ~tid = Core.alloc t.core ~tid
-let alloc_opt t ~tid = Core.alloc_opt t.core ~tid
 let free t ~tid id = Core.free t.core ~tid id
 let handle t id = Core.handle t.core id
 let violations t = Core.violations t.core

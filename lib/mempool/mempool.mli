@@ -131,11 +131,6 @@ module Core : sig
       (attaching a fresh arena first when below [max_arenas]). *)
   val alloc : t -> tid:int -> int
 
-  (** Non-raising {!alloc}: [None] when no slot is reachable, so callers
-      can degrade into backpressure (retry with backoff, count the
-      stall) instead of unwinding through {!Exhausted}. *)
-  val alloc_opt : t -> tid:int -> int option
-
   (** Was [tid]'s last exhaustion {e hard} — the pool at [max_arenas]
       with no grow or drain in flight, so backoff cannot be satisfied by
       an arena attach? Always false for [max_arenas = 1] pools, whose
@@ -239,7 +234,6 @@ val get : 'a t -> int -> 'a
 val unsafe_get : 'a t -> int -> 'a
 
 val alloc : 'a t -> tid:int -> int
-val alloc_opt : 'a t -> tid:int -> int option
 val free : 'a t -> tid:int -> int -> unit
 val handle : 'a t -> int -> Handle.t
 val violations : 'a t -> int

@@ -100,6 +100,9 @@ type result = {
   latency : Histogram.t; (* merged across clients *)
 }
 
+let conserved r =
+  r.submitted = r.completed_reqs + r.rejected + r.busy + r.oom + r.deadline_exceeded
+
 let[@inline] pause spins =
   if !spins < 64 then begin
     incr spins;

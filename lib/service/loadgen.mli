@@ -73,6 +73,10 @@ type result = {
   latency : Mp_util.Histogram.t;
 }
 
+(** The conservation law above: every first-attempt request was
+    answered exactly once. Exact only with [warmup_s = 0]. *)
+val conserved : result -> bool
+
 (** Run against a started service; blocks until done. [?tick] runs
     every ~2 ms on the calling thread (watchdog sampler hook). An
     exception raised in a client domain is re-raised here once every

@@ -1,10 +1,14 @@
 (* The benchmark harness itself: workload mixes, runner plumbing, stall
-   injection, and the metrics the figures are built from. *)
+   injection, the metrics the figures are built from, and served-cell
+   scenarios. *)
 
 module Config = Smr_core.Config
 module Workload = Mp_harness.Workload
 module Runner = Mp_harness.Runner
 module Instances = Mp_harness.Instances
+module Scenario = Mp_harness.Scenario
+module Watchdog = Mp_harness.Watchdog
+module Loadgen = Mp_service.Loadgen
 
 let mixes_sum_to_100 () =
   List.iter
@@ -110,6 +114,58 @@ let instances_registry () =
     (Invalid_argument "unknown scheme \"bogus\" (expected one of: mp, ibr, he, hp, ebr, none)")
     (fun () -> ignore (Instances.scheme_of_name "bogus" : Instances.scheme))
 
+(* -- served-cell scenarios ------------------------------------------------- *)
+
+let phase ~duration_s ~read_pct ~insert_pct ~key_range ~seed =
+  { Loadgen.clients = 2; duration_s; warmup_s = 0.0; read_pct; insert_pct; mget = 1; key_range;
+    zipf_alpha = None; seed; mode = Loadgen.Closed { pipeline = 8 }; deadline_s = 0.0;
+    max_retries = 0 }
+
+let cell ~capacity ~max_arenas phases =
+  Scenario.run
+    { Scenario.scheme = Instances.mp; shards = 2; spare_tids = None; batch = 8;
+      ring_capacity = 128; capacity; max_arenas; prefill = Scenario.Even 256;
+      check_access = true; plan = None; phases }
+
+(* Counters are split per phase: a read-only phase retires nothing, so
+   it never scans, while the churn phase after it does. *)
+let scenario_per_phase () =
+  let r =
+    cell ~capacity:8192 ~max_arenas:1
+      [ phase ~duration_s:0.2 ~read_pct:100 ~insert_pct:0 ~key_range:512 ~seed:1;
+        phase ~duration_s:0.2 ~read_pct:0 ~insert_pct:50 ~key_range:512 ~seed:2 ]
+  in
+  let reads = List.nth r.Scenario.phases 0 and churn = List.nth r.Scenario.phases 1 in
+  Alcotest.(check int) "read-only phase never scans" 0 reads.Scenario.scan_passes;
+  Alcotest.(check bool) "churn phase scans" true (churn.Scenario.scan_passes > 0);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "phase completed requests" true (p.Scenario.lg.Loadgen.completed > 0);
+      Alcotest.(check bool) "phase conserves requests" true (Loadgen.conserved p.Scenario.lg))
+    r.Scenario.phases;
+  let v = r.Scenario.watchdog in
+  Alcotest.(check bool) "watchdog armed" true (v.Watchdog.vspec.Watchdog.bound > 0);
+  Alcotest.(check bool) "watchdog sampled" true (v.Watchdog.samples > 0);
+  Alcotest.(check bool) "watchdog holds" true (Watchdog.ok v);
+  Alcotest.(check int) "no UAF" 0 r.Scenario.violations
+
+(* An elastic pool grows under an insert phase and the post-stop settle
+   drains it back to a single attached arena. *)
+let scenario_elastic_settle () =
+  let capacity = 2048 in
+  let key_range = capacity * 3 / 2 in
+  let r =
+    cell ~capacity ~max_arenas:2
+      [ phase ~duration_s:0.25 ~read_pct:0 ~insert_pct:100 ~key_range ~seed:3;
+        phase ~duration_s:0.25 ~read_pct:0 ~insert_pct:0 ~key_range ~seed:4 ]
+  in
+  Alcotest.(check int) "first phase grew the pool" 2
+    (List.hd r.Scenario.phases).Scenario.arenas_at_end;
+  Alcotest.(check bool) "a drain completed" true (r.Scenario.arenas_detached >= 1);
+  Alcotest.(check int) "settled to one arena" capacity r.Scenario.resident_slots;
+  Alcotest.(check bool) "watchdog holds" true (Watchdog.ok r.Scenario.watchdog);
+  Alcotest.(check int) "no UAF" 0 r.Scenario.violations
+
 let () =
   Alcotest.run "harness"
     [
@@ -126,5 +182,10 @@ let () =
           Alcotest.test_case "stall injection" `Slow runner_stall_injection;
           Alcotest.test_case "fence accounting" `Slow fences_counted_for_pbr;
           Alcotest.test_case "registry" `Quick instances_registry;
+        ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "per-phase counters" `Slow scenario_per_phase;
+          Alcotest.test_case "elastic grow and settle" `Slow scenario_elastic_settle;
         ] );
     ]

@@ -118,6 +118,23 @@ let paused_reader () =
     (H.contains_paused s 9 ~pause:(fun () -> ran := true));
   Alcotest.(check bool) "pause ran" true !ran
 
+(* Each bucket owns one slice of MP's index space, so a margin published
+   while traversing one bucket never covers another bucket's nodes. *)
+let indices_partitioned_by_bucket () =
+  let buckets = 16 in
+  let t = mk ~buckets () in
+  let s = H.session t ~tid:0 in
+  for k = 0 to 199 do
+    ignore (H.insert s ~key:k ~value:k : bool)
+  done;
+  let span = (Config.max_sentinel_index + 1) / buckets in
+  H.fold t
+    (fun () id n ->
+      let b = H.bucket t n.H.key and idx = Mempool.Core.index (H.pool t) id in
+      Alcotest.(check bool) "index inside its bucket's range" true
+        (idx > b * span && idx < ((b + 1) * span) - 1))
+    ()
+
 let () =
   Alcotest.run "hash_table"
     [
@@ -127,6 +144,7 @@ let () =
           Alcotest.test_case "across buckets" `Quick many_keys_across_buckets;
           Alcotest.test_case "model agreement" `Quick model_agreement;
           Alcotest.test_case "paused reader" `Quick paused_reader;
+          Alcotest.test_case "indices partitioned by bucket" `Quick indices_partitioned_by_bucket;
           Alcotest.test_case "concurrent churn (mp)" `Slow concurrent_churn;
           Alcotest.test_case "concurrent churn (hp)" `Slow concurrent_churn_hp;
         ] );

@@ -239,11 +239,6 @@ let recovery_pool () =
 
 (* -- 4. service: crash, adopt, respawn ------------------------------------ *)
 
-let conservation lg =
-  lg.Loadgen.submitted
-  = lg.Loadgen.completed_reqs + lg.Loadgen.rejected + lg.Loadgen.busy + lg.Loadgen.oom
-    + lg.Loadgen.deadline_exceeded
-
 let service_recovery_round ?(seed = 99) ?(mode = Loadgen.Closed { pipeline = 8 })
     ?(plan : Fault.plan option) () =
   let shards = 2 and spare_tids = 1 in
@@ -294,7 +289,7 @@ let service_recovery_round ?(seed = 99) ?(mode = Loadgen.Closed { pipeline = 8 }
   SET.check set;
   Alcotest.(check int) "no use-after-free" 0 (SET.violations set);
   Alcotest.(check bool) "conservation: every request answered exactly once" true
-    (conservation lg);
+    (Loadgen.conserved lg);
   (lg, Service.stats svc, Option.get (Service.recovery_stats svc))
 
 let service_crash_recovers () =
@@ -404,7 +399,7 @@ let qcheck_round seed =
   (* a crash landing in the final poll window can be joined by the
      post-stop sweep instead of recovered; what must always hold:
      no UAF, exact request conservation, and any recovery adopted *)
-  SET.violations set = 0 && conservation lg
+  SET.violations set = 0 && Loadgen.conserved lg
   && r.Recovery.adoptions = r.Recovery.recoveries
   && stats.Service.crashed_shards <= stats.Service.crash_events
 

@@ -1,9 +1,8 @@
 (* Utility substrate: RNG determinism and distribution sanity, key
-   generators, backoff, striped counters, descriptive stats. *)
+   generators, backoff, striped counters. *)
 
 module Rng = Mp_util.Rng
 module Keygen = Mp_util.Keygen
-module Stats = Mp_util.Stats
 module Sc = Mp_util.Striped_counter
 
 let rng_deterministic () =
@@ -105,20 +104,6 @@ let backoff_grows_and_resets () =
   Mp_util.Backoff.reset b;
   Mp_util.Backoff.once b
 
-let stats_basics () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean xs);
-  Alcotest.(check (float 1e-9)) "stddev" (sqrt (5.0 /. 3.0)) (Stats.stddev xs);
-  let lo, hi = Stats.min_max xs in
-  Alcotest.(check (float 1e-9)) "min" 1.0 lo;
-  Alcotest.(check (float 1e-9)) "max" 4.0 hi;
-  Alcotest.(check (float 1e-9)) "p50" 2.0 (Stats.percentile xs 50.0);
-  Alcotest.(check (float 1e-9)) "p100" 4.0 (Stats.percentile xs 100.0)
-
-let stats_empty () =
-  Alcotest.(check (float 1e-9)) "mean of empty" 0.0 (Stats.mean [||]);
-  Alcotest.(check (float 1e-9)) "stddev of singleton" 0.0 (Stats.stddev [| 5.0 |])
-
 (* -- Relaxed (fenceless) atomic reads ----------------------------------- *)
 
 (* Two-domain handshake: the writer publishes data with plain writes and
@@ -155,13 +140,6 @@ let relaxed_own_writes () =
     Alcotest.(check int) "own write mirrored" i (Mp_util.Relaxed.get slot)
   done
 
-let qcheck_percentile_sorted =
-  QCheck.Test.make ~name:"percentile is monotone in p" ~count:300
-    QCheck.(list_of_size Gen.(1 -- 50) (float_bound_inclusive 100.0))
-    (fun l ->
-      let xs = Array.of_list l in
-      Stats.percentile xs 25.0 <= Stats.percentile xs 75.0)
-
 let () =
   Alcotest.run "util"
     [
@@ -190,8 +168,4 @@ let () =
           Alcotest.test_case "two-domain handshake" `Quick relaxed_handshake;
           Alcotest.test_case "own-slot mirror" `Quick relaxed_own_writes;
         ] );
-      ( "stats",
-        Alcotest.test_case "basics" `Quick stats_basics
-        :: Alcotest.test_case "empty" `Quick stats_empty
-        :: List.map QCheck_alcotest.to_alcotest [ qcheck_percentile_sorted ] );
     ]
