@@ -17,29 +17,33 @@ module Config = Smr_core.Config
 module Workload = Mp_harness.Workload
 module Runner = Mp_harness.Runner
 module Report = Mp_harness.Report
+module Probe = Mp_harness.Probe
 module Instances = Mp_harness.Instances
 module Scenario = Mp_harness.Scenario
+module Watchdog = Mp_harness.Watchdog
 module Loadgen = Mp_service.Loadgen
 
 let full = Sys.getenv_opt "MP_BENCH_FULL" <> None
 
 (* -- machine-readable sink: --json FILE (or MP_BENCH_JSON=FILE) ----------- *)
 
-(* Every Runner.result produced by the suite is also recorded, labelled
-   with its experiment/structure/scheme, and dumped as a JSON array at
+(* Every row the suite measures is also recorded, labelled with its
+   experiment/structure/scheme, and written as one versioned envelope at
    exit so the perf trajectory is diffable across commits. *)
 let json_path = ref (Sys.getenv_opt "MP_BENCH_JSON")
 
 (* --warmup SECS: per-run warmup window (real workload, excluded from
    every reported metric — ops, GC words, fences, wasted samples). *)
 let warmup = ref 0.5
-let json_results : (string * string * string * Runner.result) list ref = ref []
+let json_rows : Report.row list ref = ref []
 let current_experiment = ref ""
 
-let note ~ds ~scheme (r : Runner.result) =
+let record ~ds ~scheme fields =
   if !json_path <> None then
-    json_results := (!current_experiment, ds, scheme, r) :: !json_results;
-  r
+    json_rows :=
+      (("experiment", Report.Str !current_experiment) :: ("ds", Report.Str ds)
+      :: ("scheme", Report.Str scheme) :: fields)
+      :: !json_rows
 
 let write_json () =
   match !json_path with
@@ -47,13 +51,14 @@ let write_json () =
   | Some path -> (
     try
       let oc = open_out path in
-      output_string oc (Runner.results_to_json (List.rev !json_results));
+      output_string oc (Report.envelope (List.rev !json_rows));
       close_out oc;
-      Printf.printf "[wrote %d results to %s]\n%!" (List.length !json_results) path
+      Printf.printf "[wrote %d results to %s]\n%!" (List.length !json_rows) path
     with Sys_error msg -> Printf.eprintf "cannot write JSON: %s\n" msg)
 
 (* Scaled-down defaults; the paper used 88 HTs, 5 s runs, S = 500K / 5K. *)
 let thread_counts = if full then [ 1; 2; 4; 8; 16 ] else [ 1; 2; 4; 8 ]
+let max_threads = List.fold_left max 1 thread_counts
 let duration_s = if full then 2.0 else 0.35
 let tree_size = if full then 65_536 else 16_384
 let list_size = if full then 2_048 else 512
@@ -69,33 +74,61 @@ let margin_for ~init_size ~gaps =
   let gap = 0xFFFF_FFFF / (2 * init_size) in
   max (1 lsl 17) (gap * gaps)
 
-let spec ?margin ~threads ~init_size ~mix () =
+(* Each figure structure with its size and the margin that size gets. *)
+let structure name ds init_size gaps = (name, ds, init_size, margin_for ~init_size ~gaps)
+let bst = structure "bst" Instances.Bst_ds tree_size 128
+let skiplist = structure "skiplist" Instances.Skiplist_ds tree_size 128
+let list = structure "list" Instances.List_ds list_size 2
+let ds_name ds = fst (List.find (fun (_, d) -> d = ds) Instances.all_ds)
+
+(* -- cells and tables ------------------------------------------------------- *)
+
+(* One Runner cell: the figure spec (paper defaults, the suite's duration
+   and warmup, [margin] when given) adjusted by [f], run on [set] or else
+   on [ds] under [scheme] ("dta" is the DTA list), and recorded as a JSON
+   row. *)
+let cell ?(f = Fun.id) ?margin ?set ds scheme ~threads ~init_size ~mix =
   let config = Config.default ~threads in
-  let config =
-    match margin with Some m -> Config.with_margin config m | None -> config
+  let config = Option.fold ~none:config ~some:(Config.with_margin config) margin in
+  let set =
+    match set with
+    | Some set -> set
+    | None when scheme = "dta" -> (module Dstruct.Dta_list.As_set : Dstruct.Set_intf.SET)
+    | None -> Instances.make ds (Instances.scheme_of_name scheme)
   in
-  { (Runner.default ~threads ~init_size ~mix ~config) with
-    Runner.duration_s;
-    warmup_s = !warmup;
-  }
+  let r =
+    Runner.run set
+      (f
+         { (Runner.default ~threads ~init_size ~mix ~config) with
+           Runner.duration_s;
+           warmup_s = !warmup;
+         })
+  in
+  record ~ds:(ds_name ds) ~scheme (Runner.fields r);
+  r
 
-let ds_name = function
-  | Instances.List_ds -> "list"
-  | Instances.Skiplist_ds -> "skiplist"
-  | Instances.Bst_ds -> "bst"
-  | Instances.Hash_ds -> "hash"
+(* Metrics: how one run renders in a table cell. *)
+let tput (r : Runner.result) = Report.fmt_throughput r.throughput ^ if r.oom then "*" else ""
+let wasted_avg (r : Runner.result) = Printf.sprintf "%.0f" r.probe.Probe.wasted_avg
+let wasted_max (r : Runner.result) = string_of_int r.probe.Probe.wasted_max
+let wasted_peak (r : Runner.result) = string_of_int r.wasted_peak
+let fences (r : Runner.result) = Printf.sprintf "%.3f" (Probe.fences_per_node r.probe)
 
-let run_ds ?margin ds ~threads ~init_size ~mix scheme_name =
-  note ~ds:(ds_name ds) ~scheme:scheme_name
-    (Runner.run (Instances.make ds (Instances.scheme_of_name scheme_name))
-       (spec ?margin ~threads ~init_size ~mix ()))
+(* Row label × scheme columns, one [metric] per cell. *)
+let grid ~title ~corner ~schemes ~metric rows =
+  Report.table ~title ~header:(corner :: schemes)
+    (List.map (fun (label, run) -> label :: List.map (fun s -> metric (run s)) schemes) rows)
 
-let run_dta ~threads ~init_size ~mix =
-  note ~ds:"list" ~scheme:"dta"
-    (Runner.run (module Dstruct.Dta_list.As_set) (spec ~threads ~init_size ~mix ()))
-
-let fmt_result (r : Runner.result) =
-  Report.fmt_throughput r.Runner.throughput ^ if r.Runner.oom then "*" else ""
+(* One run per row: its label cells, then one (header, metric) column
+   each. *)
+let per_run ~title ~labels ~columns rows =
+  Report.table ~title
+    ~header:(labels @ List.map fst columns)
+    (List.map
+       (fun (label, run) ->
+         let r = run () in
+         label @ List.map (fun (_, metric) -> metric r) columns)
+       rows)
 
 (* -- Table 1: qualitative scheme comparison ------------------------------ *)
 
@@ -129,273 +162,164 @@ let table1 () =
 
 (* -- Figures 2/3/4: throughput sweeps ------------------------------------ *)
 
-let throughput_figure ~title ~ds ~init_size ~gaps ~with_dta () =
-  let margin = margin_for ~init_size ~gaps in
+let throughput_figure ~title (_, ds, init_size, margin) ~with_dta =
   List.iter
     (fun mix ->
-      let header =
-        ("threads" :: figure_schemes) @ if with_dta then [ "dta" ] else []
-      in
-      let rows =
-        List.map
-          (fun threads ->
-            let cells =
-              List.map
-                (fun sname -> fmt_result (run_ds ~margin ds ~threads ~init_size ~mix sname))
-                figure_schemes
-            in
-            let dta_cell =
-              if with_dta then [ fmt_result (run_dta ~threads ~init_size ~mix) ] else []
-            in
-            (string_of_int threads :: cells) @ dta_cell)
-          thread_counts
-      in
-      Report.table
+      grid
         ~title:(Printf.sprintf "%s — %s (ops/s)" title mix.Workload.name)
-        ~header rows)
+        ~corner:"threads"
+        ~schemes:(figure_schemes @ if with_dta then [ "dta" ] else [])
+        ~metric:tput
+        (List.map
+           (fun threads ->
+             (string_of_int threads, fun s -> cell ~margin ds s ~threads ~init_size ~mix))
+           thread_counts))
     Workload.all
 
 let fig2 () =
   throughput_figure
     ~title:(Printf.sprintf "Figure 2: NM BST throughput (S=%d)" tree_size)
-    ~ds:Instances.Bst_ds ~init_size:tree_size ~gaps:128 ~with_dta:false ()
+    bst ~with_dta:false
 
 let fig3 () =
   throughput_figure
     ~title:(Printf.sprintf "Figure 3: skip list throughput (S=%d)" tree_size)
-    ~ds:Instances.Skiplist_ds ~init_size:tree_size ~gaps:128 ~with_dta:false ()
+    skiplist ~with_dta:false
 
 let fig4 () =
   throughput_figure
     ~title:(Printf.sprintf "Figure 4: linked list throughput (S=%d)" list_size)
-    ~ds:Instances.List_ds ~init_size:list_size ~gaps:2 ~with_dta:true ()
+    list ~with_dta:true
 
 (* -- Figure 5: memory fences per traversed node (MP vs HP, read-only) ---- *)
 
 let fig5 () =
-  let threads = List.fold_left max 1 thread_counts in
-  let rows =
-    List.map
-      (fun (ds_name, ds, init_size, gaps) ->
-        let fences sname =
-          let margin = margin_for ~init_size ~gaps in
-          let r = run_ds ~margin ds ~threads ~init_size ~mix:Workload.read_only sname in
-          Printf.sprintf "%.3f" r.Runner.fences_per_node
-        in
-        [ ds_name; fences "mp"; fences "hp" ])
-      [
-        ("bst", Instances.Bst_ds, tree_size, 128);
-        ("skiplist", Instances.Skiplist_ds, tree_size, 128);
-        ("list", Instances.List_ds, list_size, 2);
-      ]
-  in
-  Report.table
+  grid
     ~title:
-      (Printf.sprintf "Figure 5: fences per traversed node, read-only, %d threads" threads)
-    ~header:[ "structure"; "mp"; "hp" ] rows
+      (Printf.sprintf "Figure 5: fences per traversed node, read-only, %d threads" max_threads)
+    ~corner:"structure" ~schemes:[ "mp"; "hp" ] ~metric:fences
+    (List.map
+       (fun (name, ds, init_size, margin) ->
+         ( name,
+           fun s -> cell ~margin ds s ~threads:max_threads ~init_size ~mix:Workload.read_only ))
+       [ bst; skiplist; list ])
 
 (* -- Figure 6: wasted memory, read-dominated ------------------------------ *)
 
 let fig6 () =
   List.iter
-    (fun (ds_name, ds, init_size, gaps) ->
-      let margin = margin_for ~init_size ~gaps in
-      let header = "threads" :: figure_schemes in
-      let rows =
-        List.map
-          (fun threads ->
-            string_of_int threads
-            :: List.map
-                 (fun sname ->
-                   let r =
-                     run_ds ~margin ds ~threads ~init_size ~mix:Workload.read_dominated sname
-                   in
-                   Printf.sprintf "%.0f" r.Runner.wasted_avg)
-                 figure_schemes)
-          thread_counts
-      in
-      Report.table
+    (fun (name, ds, init_size, margin) ->
+      grid
         ~title:
-          (Printf.sprintf "Figure 6 (%s): avg retired-but-unreclaimed nodes, read-dominated"
-             ds_name)
-        ~header rows)
-    [
-      ("bst", Instances.Bst_ds, tree_size, 128);
-      ("skiplist", Instances.Skiplist_ds, tree_size, 128);
-      ("list", Instances.List_ds, list_size, 2);
-    ]
+          (Printf.sprintf "Figure 6 (%s): avg retired-but-unreclaimed nodes, read-dominated" name)
+        ~corner:"threads" ~schemes:figure_schemes ~metric:wasted_avg
+        (List.map
+           (fun threads ->
+             ( string_of_int threads,
+               fun s -> cell ~margin ds s ~threads ~init_size ~mix:Workload.read_dominated ))
+           thread_counts))
+    [ bst; skiplist; list ]
 
 (* -- Figure 7a: ascending-key list, MP vs HP (index-collision worst case) - *)
 
 let fig7a () =
-  let header = [ "threads"; "mp"; "hp" ] in
-  let rows =
-    List.map
-      (fun threads ->
-        let run sname =
-          let config = Config.default ~threads in
-          let s =
-            {
-              (Runner.default ~threads ~init_size:list_size ~mix:Workload.read_only ~config) with
-              Runner.duration_s;
-              warmup_s = !warmup;
-              init = Workload.Ascending_init;
-              key_range = list_size;
-            }
-          in
-          fmt_result
-            (note ~ds:"list" ~scheme:sname
-               (Runner.run (Instances.make Instances.List_ds (Instances.scheme_of_name sname)) s))
-        in
-        [ string_of_int threads; run "mp"; run "hp" ])
-      thread_counts
-  in
-  Report.table
+  grid
     ~title:
       (Printf.sprintf
          "Figure 7a: list built by ascending insertion (all indices collide), read-only (S=%d)"
          list_size)
-    ~header rows
+    ~corner:"threads" ~schemes:[ "mp"; "hp" ] ~metric:tput
+    (List.map
+       (fun threads ->
+         ( string_of_int threads,
+           fun s ->
+             cell Instances.List_ds s ~threads ~init_size:list_size ~mix:Workload.read_only
+               ~f:(fun sp -> { sp with init = Workload.Ascending_init; key_range = list_size }) ))
+       thread_counts)
 
 (* -- Figures 7b/7c: margin-size sensitivity ------------------------------- *)
 
 let fig7bc () =
-  let threads = List.fold_left max 1 thread_counts in
-  let margins = List.init 10 (fun i -> 17 + i) in
-  let rows =
-    List.map
-      (fun log2m ->
-        let config = Config.with_margin (Config.default ~threads) (1 lsl log2m) in
-        let s =
-          {
-            (Runner.default ~threads ~init_size:tree_size ~mix:Workload.write_dominated ~config) with
-            Runner.duration_s;
-            warmup_s = !warmup;
-          }
-        in
-        let r = note ~ds:"bst" ~scheme:"mp" (Runner.run (Instances.make Instances.Bst_ds Instances.mp) s) in
-        [
-          Printf.sprintf "2^%d" log2m;
-          fmt_result r;
-          Printf.sprintf "%.0f" r.Runner.wasted_avg;
-          string_of_int r.Runner.wasted_max;
-        ])
-      margins
-  in
-  Report.table
+  per_run
     ~title:
       (Printf.sprintf "Figures 7b/7c: margin sensitivity, BST write-dominated, %d threads (S=%d)"
-         threads tree_size)
-    ~header:[ "margin"; "throughput"; "wasted avg"; "wasted max" ]
-    rows
+         max_threads tree_size)
+    ~labels:[ "margin" ]
+    ~columns:[ ("throughput", tput); ("wasted avg", wasted_avg); ("wasted max", wasted_max) ]
+    (List.init 10 (fun i ->
+         let log2m = 17 + i in
+         ( [ Printf.sprintf "2^%d" log2m ],
+           fun () ->
+             cell ~margin:(1 lsl log2m) Instances.Bst_ds "mp" ~threads:max_threads
+               ~init_size:tree_size ~mix:Workload.write_dominated )))
 
-(* -- Stall experiment: deterministic robustness comparison ---------------- *)
+(* -- Stall and crash experiments: deterministic robustness comparison ------ *)
 
-(* The watchdog evaluates the scheme's declared waste bound (Table 1)
-   against the live counter while the fault plan runs. *)
-let watchdog_for sname ~config ~threads ~size_at_arm =
-  let (module S : Smr_core.Smr_intf.S) = Instances.scheme_of_name sname in
-  Mp_harness.Watchdog.spec_for ~scheme:sname ~properties:S.properties ~config ~threads
-    ~size_at_arm ()
-
-let fmt_verdict (r : Runner.result) =
-  match r.Runner.watchdog with
-  | None -> "-"
-  | Some v -> Mp_harness.Watchdog.to_string v
-
-(* Unlike the legacy op-boundary pause (Runner.stall), the fault plan
-   stalls tid 0 *inside* the protect/validate window — reservation
-   published, not yet validated — the exact schedule the robustness
-   theorems quantify over. *)
-let stall () =
+(* Four list workers churn while the plan hits tid 0 *inside* the
+   protect/validate window — reservation published, not yet validated —
+   the exact schedule the robustness theorems quantify over (unlike the
+   op-boundary pause of Runner.stall). The watchdog evaluates each
+   scheme's declared waste bound (Table 1) against the live counter. *)
+let fault_table ~title ~plan ~columns =
   let threads = 4 in
-  let rows =
-    List.map
-      (fun sname ->
-        let config = Config.default ~threads in
-        let s =
-          {
-            (Runner.default ~threads ~init_size:list_size ~mix:Workload.write_dominated ~config) with
-            Runner.duration_s = duration_s *. 2.0;
-            warmup_s = !warmup;
-            faults =
-              Some
-                (Mp_util.Fault.plan ~label:"bench-stall"
-                   [
-                     Mp_util.Fault.stall_event ~tid:0 ~point:Mp_util.Fault.Protect_validate
-                       ~after_hits:50 ~every:200 ~pause:0.02 ();
-                   ]);
-            watchdog = Some (watchdog_for sname ~config ~threads ~size_at_arm:(2 * 2 * list_size));
-          }
-        in
-        let r =
-          note ~ds:"list" ~scheme:sname
-            (Runner.run (Instances.make Instances.List_ds (Instances.scheme_of_name sname)) s)
-        in
-        [
-          sname;
-          fmt_result r;
-          Printf.sprintf "%.0f" r.Runner.wasted_avg;
-          string_of_int r.Runner.wasted_max;
-          string_of_int r.Runner.wasted_peak;
-          fmt_verdict r;
-        ])
-      [ "mp"; "hp"; "ibr"; "he"; "ebr" ]
-  in
-  Report.table
+  per_run ~title ~labels:[ "scheme" ]
+    ~columns:
+      ((("throughput", tput) :: columns)
+      @ [ ("watchdog", fun r -> Option.fold ~none:"-" ~some:Watchdog.to_string r.Runner.watchdog) ]
+      )
+    (List.map
+       (fun sname ->
+         ( [ sname ],
+           fun () ->
+             cell Instances.List_ds sname ~threads ~init_size:list_size
+               ~mix:Workload.write_dominated ~f:(fun s ->
+                 let (module S : Smr_core.Smr_intf.S) = Instances.scheme_of_name sname in
+                 {
+                   s with
+                   duration_s = duration_s *. 2.0;
+                   faults = Some plan;
+                   watchdog =
+                     Some
+                       (Watchdog.spec_for ~scheme:sname ~properties:S.properties
+                          ~config:s.Runner.config ~threads ~size_at_arm:(2 * 2 * list_size) ());
+                 }) ))
+       [ "mp"; "hp"; "ibr"; "he"; "ebr" ])
+
+let stall () =
+  fault_table
     ~title:
       "Stall injection: list write-dominated, tid 0 sleeping inside the protect/validate window"
-    ~header:[ "scheme"; "throughput"; "wasted avg"; "wasted max"; "wasted peak"; "watchdog" ]
-    rows
+    ~plan:
+      (Mp_util.Fault.plan ~label:"bench-stall"
+         [
+           Mp_util.Fault.stall_event ~tid:0 ~point:Mp_util.Fault.Protect_validate ~after_hits:50
+             ~every:200 ~pause:0.02 ();
+         ])
+    ~columns:[ ("wasted avg", wasted_avg); ("wasted max", wasted_max); ("wasted peak", wasted_peak) ]
 
-(* -- Crash experiment: the dead-thread scenario of §4.4 ------------------- *)
-
-(* One domain dies mid-protect — reservation published, never cleared,
-   never cleared up — while the rest keep churning. Bounded schemes (MP,
-   HP) must hold their predetermined waste bound anyway; robust schemes
-   hold a size-at-crash bound; EBR's waste grows with the churn (the
-   watchdog records the expected violation of the reference envelope). *)
+(* The dead-thread scenario of §4.4: one domain dies mid-protect —
+   reservation published, never cleared — while the rest keep churning.
+   Bounded schemes (MP, HP) must hold their predetermined waste bound
+   anyway; robust schemes hold a size-at-crash bound; EBR's waste grows
+   with the churn (the watchdog records the expected violation of the
+   reference envelope). *)
 let crash () =
-  let threads = 4 in
-  let rows =
-    List.map
-      (fun sname ->
-        let config = Config.default ~threads in
-        let s =
-          {
-            (Runner.default ~threads ~init_size:list_size ~mix:Workload.write_dominated ~config) with
-            Runner.duration_s = duration_s *. 2.0;
-            warmup_s = !warmup;
-            faults =
-              Some
-                (Mp_util.Fault.plan ~label:"bench-crash"
-                   [
-                     Mp_util.Fault.crash_event ~tid:0 ~point:Mp_util.Fault.Protect_validate
-                       ~after_hits:1_000;
-                   ]);
-            watchdog = Some (watchdog_for sname ~config ~threads ~size_at_arm:(2 * 2 * list_size));
-          }
-        in
-        let r =
-          note ~ds:"list" ~scheme:sname
-            (Runner.run (Instances.make Instances.List_ds (Instances.scheme_of_name sname)) s)
-        in
-        [
-          sname;
-          fmt_result r;
-          string_of_int r.Runner.wasted_max;
-          string_of_int r.Runner.wasted_peak;
-          String.concat "," (List.map string_of_int r.Runner.crashed);
-          String.concat "," (List.map string_of_int r.Runner.pinning_tids);
-          fmt_verdict r;
-        ])
-      [ "mp"; "hp"; "ibr"; "he"; "ebr" ]
-  in
-  Report.table
-    ~title:
-      "Crash injection: list write-dominated, tid 0 dies inside the protect/validate window"
-    ~header:[ "scheme"; "throughput"; "wasted max"; "wasted peak"; "crashed"; "pinning"; "watchdog" ]
-    rows
+  let tids l = String.concat "," (List.map string_of_int l) in
+  fault_table
+    ~title:"Crash injection: list write-dominated, tid 0 dies inside the protect/validate window"
+    ~plan:
+      (Mp_util.Fault.plan ~label:"bench-crash"
+         [
+           Mp_util.Fault.crash_event ~tid:0 ~point:Mp_util.Fault.Protect_validate
+             ~after_hits:1_000;
+         ])
+    ~columns:
+      [
+        ("wasted max", wasted_max);
+        ("wasted peak", wasted_peak);
+        ("crashed", fun r -> tids r.Runner.crashed);
+        ("pinning", fun r -> tids r.Runner.pinning_tids);
+      ]
 
 (* -- Bechamel micro-benchmarks: per-operation latency --------------------- *)
 
@@ -594,57 +518,24 @@ let run_pipe ~pairs ~duration =
         let pair = i / 2 in
         if i land 1 = 0 then Domain.spawn (producer pair) else Domain.spawn (consumer pair))
   in
+  let minor0 = Mp_util.Gcstat.minor_collections () in
   let t_start = Unix.gettimeofday () in
   Unix.sleepf duration;
   Atomic.set stop true;
   let elapsed = Unix.gettimeofday () -. t_start in
+  let minor_gcs = Mp_util.Gcstat.minor_collections () - minor0 in
   Array.iter Domain.join domains;
   let total_ops = Array.fold_left ( + ) 0 ops in
-  let throughput = float_of_int total_ops /. elapsed in
-  let alloc_words = ref 0.0 and promoted = ref 0.0 and minor_gcs = ref 0 in
+  let alloc_words = ref 0.0 and promoted = ref 0.0 in
   for tid = 0 to threads - 1 do
     let before = gc_before.(tid) and after = gc_after.(tid) in
     alloc_words := !alloc_words +. Mp_util.Gcstat.alloc_words ~before ~after;
-    promoted := !promoted +. Mp_util.Gcstat.promoted_words ~before ~after;
-    minor_gcs := !minor_gcs + Mp_util.Gcstat.minor_collections ~before ~after
+    promoted := !promoted +. Mp_util.Gcstat.promoted_words ~before ~after
   done;
   if Mempool.Core.live_count pool <> 0 then
     failwith "pipe: slots leaked across the transfer path";
-  (total_ops, throughput, !alloc_words, !promoted, !minor_gcs)
-
-let pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs :
-    Runner.result =
   let per_op x = if total_ops = 0 then 0.0 else x /. float_of_int total_ops in
-  {
-    Runner.spec_threads = 2 * pairs;
-    mix_name = "alloc_free_pipe";
-    total_ops;
-    throughput;
-    wasted_avg = 0.0;
-    wasted_max = 0;
-    wasted_peak = 0;
-    fences = 0;
-    traversed = 0;
-    fences_per_node = 0.0;
-    scan_passes = 0;
-    scan_time_s = 0.0;
-    violations = 0;
-    oom = false;
-    alloc_stalls = 0;
-    ring_full = 0;
-    deadline_exceeded = 0;
-    crashed = [];
-    pinning_tids = [];
-    watchdog = None;
-    final_size = 0;
-    latency = None;
-    alloc_words_per_op = per_op alloc_words;
-    promoted_words_per_op = per_op promoted;
-    minor_gcs;
-    arenas_attached = 0;
-    arenas_detached = 0;
-    resident_slots = 0;
-  }
+  (total_ops, float_of_int total_ops /. elapsed, per_op !alloc_words, per_op !promoted, minor_gcs)
 
 let pipe () =
   let rows =
@@ -653,17 +544,20 @@ let pipe () =
         (* Scheduler noise on an oversubscribed host is the dominant
            variance source; give the pipe a slightly longer window than
            the quick-scale default. *)
-        let total_ops, throughput, alloc_words, promoted, minor_gcs =
+        let total_ops, throughput, words, promoted, minor_gcs =
           run_pipe ~pairs ~duration:(Float.max duration_s 0.7)
         in
-        let r =
-          note ~ds:"mempool" ~scheme:"chained"
-            (pipe_result ~pairs ~total_ops ~throughput ~alloc_words ~promoted ~minor_gcs)
-        in
+        (* The pipe measures throughput and its own GC, nothing else. *)
+        record ~ds:"mempool" ~scheme:"chained"
+          Report.
+            [ ("threads", Int (2 * pairs)); ("mix", Str "alloc_free_pipe");
+              ("total_ops", Int total_ops); ("throughput", Float throughput);
+              ("alloc_words_per_op", Float words); ("promoted_words_per_op", Float promoted);
+              ("minor_gcs", Int minor_gcs) ];
         [
           string_of_int (2 * pairs);
-          Report.fmt_throughput r.Runner.throughput;
-          Report.fmt_words_per_op r.Runner.alloc_words_per_op;
+          Report.fmt_throughput throughput;
+          Report.fmt_words_per_op words;
         ])
       [ 1; 2; 4 ]
   in
@@ -681,209 +575,134 @@ let pipe () =
    word/op in the release profile); the rest of the table localizes any
    regression to a structure or a scheme wrapper. *)
 let alloc_telemetry () =
-  let threads = 1 in
-  let rows =
-    List.concat_map
-      (fun (name, ds, init_size, gaps) ->
-        List.map
-          (fun sname ->
-            let margin = margin_for ~init_size ~gaps in
-            let r = run_ds ~margin ds ~threads ~init_size ~mix:Workload.read_only sname in
-            [
-              name;
-              sname;
-              fmt_result r;
-              Report.fmt_words_per_op r.Runner.alloc_words_per_op;
-              Report.fmt_words_per_op r.Runner.promoted_words_per_op;
-              string_of_int r.Runner.minor_gcs;
-            ])
-          ("none" :: figure_schemes))
+  per_run ~title:"Alloc: GC words per read-only operation (1 thread; 0.00 = allocation-free)"
+    ~labels:[ "structure"; "scheme" ]
+    ~columns:
       [
-        ("list", Instances.List_ds, list_size, 2);
-        ("skiplist", Instances.Skiplist_ds, tree_size, 128);
-        ("bst", Instances.Bst_ds, tree_size, 128);
-        ("hash", Instances.Hash_ds, tree_size, 128);
+        ("throughput", tput);
+        ("words/op", fun r -> Report.fmt_words_per_op r.Runner.alloc_words_per_op);
+        ("promoted/op", fun r -> Report.fmt_words_per_op r.Runner.promoted_words_per_op);
+        ("minor GCs", fun r -> string_of_int r.Runner.minor_gcs);
       ]
-  in
-  Report.table
-    ~title:"Alloc: GC words per read-only operation (1 thread; 0.00 = allocation-free)"
-    ~header:[ "structure"; "scheme"; "throughput"; "words/op"; "promoted/op"; "minor GCs" ]
-    rows
+    (List.concat_map
+       (fun (name, ds, init_size, margin) ->
+         List.map
+           (fun sname ->
+             ( [ name; sname ],
+               fun () -> cell ~margin ds sname ~threads:1 ~init_size ~mix:Workload.read_only ))
+           ("none" :: figure_schemes))
+       [ list; skiplist; bst; structure "hash" Instances.Hash_ds tree_size 128 ])
 
 (* -- Extension: index-assignment policy ablation (paper §4.1 future work) *)
 
+(* Worst case (ascending insertion, Fig. 7a) and the default random
+   workload, per policy: collision rate and read throughput. *)
 let ablation_index () =
-  let policies =
-    [ ("midpoint", Config.Midpoint); ("golden", Config.Golden); ("random", Config.Randomized) ]
-  in
-  (* Worst case (ascending insertion, Fig. 7a) and the default random
-     workload, per policy: collision rate and read throughput. *)
-  let rows =
-    List.concat_map
-      (fun (pname, policy) ->
-        List.map
-          (fun (iname, init) ->
-            let threads = 2 in
-            let config =
-              Config.with_index_policy (Config.default ~threads) policy
-              |> fun c -> Config.with_margin c (margin_for ~init_size:list_size ~gaps:2)
-            in
-            let s =
-              {
-                (Runner.default ~threads ~init_size:list_size ~mix:Workload.read_only ~config) with
-                Runner.duration_s;
-                warmup_s = !warmup;
-                init;
-                key_range = (match init with Workload.Ascending_init -> list_size | _ -> 2 * list_size);
-              }
-            in
-            let r = note ~ds:"list" ~scheme:"mp" (Runner.run (Instances.make Instances.List_ds Instances.mp) s) in
-            let st_fences = Printf.sprintf "%.3f" r.Runner.fences_per_node in
-            [ pname; iname; fmt_result r; st_fences ])
-          [ ("ascending", Workload.Ascending_init); ("random", Workload.Uniform_init) ])
-      policies
-  in
-  Report.table
-    ~title:"Ablation: MP index-assignment policy (list, read-only after build)"
-    ~header:[ "policy"; "insertion order"; "throughput"; "fences/node" ]
-    rows
+  let _, _, _, margin = list in
+  per_run ~title:"Ablation: MP index-assignment policy (list, read-only after build)"
+    ~labels:[ "policy"; "insertion order" ]
+    ~columns:[ ("throughput", tput); ("fences/node", fences) ]
+    (List.concat_map
+       (fun (pname, policy) ->
+         List.map
+           (fun (iname, init) ->
+             ( [ pname; iname ],
+               fun () ->
+                 cell ~margin Instances.List_ds "mp" ~threads:2 ~init_size:list_size
+                   ~mix:Workload.read_only ~f:(fun s ->
+                     {
+                       s with
+                       config = Config.with_index_policy s.Runner.config policy;
+                       init;
+                       key_range = (if init = Workload.Ascending_init then list_size else s.key_range);
+                     }) ))
+           [ ("ascending", Workload.Ascending_init); ("random", Workload.Uniform_init) ])
+       [ ("midpoint", Config.Midpoint); ("golden", Config.Golden); ("random", Config.Randomized) ])
 
 (* -- Extension: epoch advance per unlink (paper §4.4 future work) --------- *)
 
+(* "If we advance the global epochs on every node unlink (as in HE), the
+   per-thread bound improves to #HP + O(#MP × M)" — measure the waste /
+   overhead trade-off of the epoch frequency under an injected stall. *)
 let ablation_epoch () =
-  (* "If we advance the global epochs on every node unlink (as in HE), the
-     per-thread bound improves to #HP + O(#MP × M)" — measure the waste /
-     overhead trade-off of the epoch frequency under an injected stall. *)
   let threads = 4 in
-  let rows =
-    List.map
-      (fun (label, freq) ->
-        let config = Config.with_epoch_freq (Config.default ~threads) freq in
-        let s =
-          {
-            (Runner.default ~threads ~init_size:list_size ~mix:Workload.write_dominated ~config) with
-            Runner.duration_s;
-            warmup_s = !warmup;
-            stall = Some { Runner.stall_tid = 0; every_ops = 100; pause_s = 0.02 };
-          }
-        in
-        let r = note ~ds:"list" ~scheme:"mp" (Runner.run (Instances.make Instances.List_ds Instances.mp) s) in
-        [
-          label;
-          fmt_result r;
-          Printf.sprintf "%.0f" r.Runner.wasted_avg;
-          string_of_int r.Runner.wasted_max;
-        ])
-      [
-        ("every unlink (F=1)", 1);
-        ("F=10", 10);
-        ("F=150", 150);
-        (Printf.sprintf "paper default (F=150T=%d)" (150 * threads), 150 * threads);
-      ]
-  in
-  Report.table
+  per_run
     ~title:"Ablation: MP epoch-advance frequency under an injected stall (list, write-dominated)"
-    ~header:[ "epoch freq"; "throughput"; "wasted avg"; "wasted max" ]
-    rows
+    ~labels:[ "epoch freq" ]
+    ~columns:[ ("throughput", tput); ("wasted avg", wasted_avg); ("wasted max", wasted_max) ]
+    (List.map
+       (fun (label, freq) ->
+         ( [ label ],
+           fun () ->
+             cell Instances.List_ds "mp" ~threads ~init_size:list_size
+               ~mix:Workload.write_dominated ~f:(fun s ->
+                 {
+                   s with
+                   config = Config.with_epoch_freq s.Runner.config freq;
+                   stall = Some { Runner.stall_tid = 0; every_ops = 100; pause_s = 0.02 };
+                 }) ))
+       [
+         ("every unlink (F=1)", 1);
+         ("F=10", 10);
+         ("F=150", 150);
+         (Printf.sprintf "paper default (F=150T=%d)" (150 * threads), 150 * threads);
+       ])
 
 (* -- Extension: key-distribution sensitivity ------------------------------ *)
 
+(* §6 "Key Distribution & MP Index Collisions": MP's margin efficacy
+   depends on how keys are laid out in the structure, not on the query
+   distribution — zipfian queries over a uniformly-built tree should
+   perform like uniform queries. *)
 let ext_zipf () =
-  (* §6 "Key Distribution & MP Index Collisions": MP's margin efficacy
-     depends on how keys are laid out in the structure, not on the query
-     distribution — zipfian queries over a uniformly-built tree should
-     perform like uniform queries. *)
-  let threads = 4 in
-  let rows =
-    List.concat_map
-      (fun sname ->
-        List.map
-          (fun (dist, alpha) ->
-            let margin = margin_for ~init_size:tree_size ~gaps:128 in
-            let config = Config.with_margin (Config.default ~threads) margin in
-            let s =
-              {
-                (Runner.default ~threads ~init_size:tree_size ~mix:Workload.read_dominated
-                   ~config)
-                with
-                Runner.duration_s;
-                warmup_s = !warmup;
-                zipf_alpha = alpha;
-              }
-            in
-            let r =
-              note ~ds:"bst" ~scheme:sname
-                (Runner.run (Instances.make Instances.Bst_ds (Instances.scheme_of_name sname)) s)
-            in
-            [ sname; dist; fmt_result r; Printf.sprintf "%.3f" r.Runner.fences_per_node ])
-          [ ("uniform", None); ("zipf a=0.99", Some 0.99); ("zipf a=1.5", Some 1.5) ])
-      [ "mp"; "hp" ]
-  in
-  Report.table
+  let _, ds, init_size, margin = bst in
+  per_run
     ~title:"Extension: query-key skew (BST read-dominated) — MP overhead tracks layout, not queries"
-    ~header:[ "scheme"; "query dist"; "throughput"; "fences/node" ]
-    rows
+    ~labels:[ "scheme"; "query dist" ]
+    ~columns:[ ("throughput", tput); ("fences/node", fences) ]
+    (List.concat_map
+       (fun sname ->
+         List.map
+           (fun (dist, alpha) ->
+             ( [ sname; dist ],
+               fun () ->
+                 cell ~margin ds sname ~threads:4 ~init_size ~mix:Workload.read_dominated
+                   ~f:(fun s -> { s with zipf_alpha = alpha }) ))
+           [ ("uniform", None); ("zipf a=0.99", Some 0.99); ("zipf a=1.5", Some 1.5) ])
+       [ "mp"; "hp" ])
 
 (* -- Extension: hash-table client (MP on a per-bucket-ordered structure) -- *)
 
+(* The served hash set ({!Instances.Hash_ds}) pins 256 buckets; at
+   S = tree_size that makes bucket lists 4x longer and throughput 2-3x
+   lower, so this table builds its own 1024-bucket set. *)
+let hash_1024 sname : (module Dstruct.Set_intf.SET) =
+  let (module S : Smr_core.Smr_intf.S) = Instances.scheme_of_name sname in
+  (module struct
+    module H = Dstruct.Hash_table.Make (S)
+    include H
+
+    let create ~threads ~capacity ?check_access config =
+      H.create ~threads ~capacity ?check_access ~buckets:1024 config
+  end)
+
 let ext_hash () =
-  let run_hash (module S : Smr_core.Smr_intf.S) name threads =
-    let module H = Dstruct.Hash_table.Make (S) in
-    let size = tree_size in
-    let config = Config.default ~threads in
-    let t = H.create ~threads ~capacity:((size * 4) + (threads * 65536)) ~buckets:1024 config in
-    let s0 = H.session t ~tid:0 in
-    let rng = Mp_util.Rng.create 7 in
-    let inserted = ref 0 in
-    while !inserted < size do
-      if H.insert s0 ~key:(Mp_util.Rng.below rng (2 * size)) ~value:1 then incr inserted
-    done;
-    let stop = Atomic.make false in
-    let ops = Array.make threads 0 in
-    let domains =
-      Array.init threads (fun tid ->
-          Domain.spawn (fun () ->
-              let s = H.session t ~tid in
-              let rng = Mp_util.Rng.split ~seed:13 ~tid in
-              let n = ref 0 in
-              while not (Atomic.get stop) do
-                let k = Mp_util.Rng.below rng (2 * size) in
-                (match Mp_util.Rng.below rng 100 with
-                | r when r < 90 -> ignore (H.contains s k : bool)
-                | r when r < 95 -> ignore (H.insert s ~key:k ~value:k : bool)
-                | _ -> ignore (H.remove s k : bool));
-                incr n
-              done;
-              ops.(tid) <- !n))
-    in
-    Unix.sleepf duration_s;
-    Atomic.set stop true;
-    Array.iter Domain.join domains;
-    let total = Array.fold_left ( + ) 0 ops in
-    let st = H.smr_stats t in
-    [
-      name;
-      string_of_int threads;
-      Report.fmt_throughput (float_of_int total /. duration_s);
-      string_of_int st.Smr_core.Smr_intf.wasted;
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun threads ->
-        [
-          run_hash (module Mp.Margin_ptr) "mp" threads;
-          run_hash (module Smr_schemes.Hp) "hp" threads;
-          run_hash (module Smr_schemes.Ibr) "ibr" threads;
-        ])
-      [ 1; 4 ]
-  in
-  Report.table
+  per_run
     ~title:
       (Printf.sprintf "Extension: lock-free hash table (1024 buckets, S=%d, read-dominated)"
          tree_size)
-    ~header:[ "scheme"; "threads"; "throughput"; "wasted" ]
-    rows
+    ~labels:[ "scheme"; "threads" ]
+    ~columns:[ ("throughput", tput); ("wasted max", wasted_max); ("wasted peak", wasted_peak) ]
+    (List.concat_map
+       (fun threads ->
+         List.map
+           (fun sname ->
+             ( [ sname; string_of_int threads ],
+               fun () ->
+                 cell ~set:(hash_1024 sname) Instances.Hash_ds sname ~threads
+                   ~init_size:tree_size ~mix:Workload.read_dominated ))
+           [ "mp"; "hp"; "ibr" ])
+       [ 1; 4 ])
 
 (* -- Extension: non-search client (Table 1's "= HP (Other DS)" cell) ------ *)
 
@@ -944,80 +763,40 @@ let ext_queue () =
 (* -- Extension: per-operation latency percentiles -------------------------- *)
 
 let latency () =
-  let threads = 4 in
-  let rows =
-    List.map
-      (fun sname ->
-        let margin = margin_for ~init_size:tree_size ~gaps:128 in
-        let config = Config.with_margin (Config.default ~threads) margin in
-        let s =
-          {
-            (Runner.default ~threads ~init_size:tree_size ~mix:Workload.read_dominated ~config) with
-            Runner.duration_s = duration_s *. 2.0;
-            warmup_s = !warmup;
-            record_latency = true;
-          }
-        in
-        let r =
-          note ~ds:"bst" ~scheme:sname
-            (Runner.run (Instances.make Instances.Bst_ds (Instances.scheme_of_name sname)) s)
-        in
-        match r.Runner.latency with
-        | None -> [ sname; "-"; "-"; "-"; "-" ]
-        | Some h ->
-          let p q = Printf.sprintf "%d" (Mp_util.Histogram.percentile_ns h q) in
-          [ sname; p 50.0; p 90.0; p 99.0; p 99.9 ])
-      [ "mp"; "ibr"; "he"; "hp"; "ebr" ]
+  let threads = 4 and _, ds, init_size, margin = bst in
+  let pct q r =
+    Option.fold ~none:"-"
+      ~some:(fun h -> string_of_int (Mp_util.Histogram.percentile_ns h q))
+      r.Runner.latency
   in
-  Report.table
+  per_run
     ~title:
       (Printf.sprintf "Extension: per-operation latency (ns), BST read-dominated, %d threads"
          threads)
-    ~header:[ "scheme"; "p50"; "p90"; "p99"; "p99.9" ]
-    rows
+    ~labels:[ "scheme" ]
+    ~columns:(List.map (fun q -> (Printf.sprintf "p%g" q, pct q)) [ 50.0; 90.0; 99.0; 99.9 ])
+    (List.map
+       (fun sname ->
+         ( [ sname ],
+           fun () ->
+             cell ~margin ds sname ~threads ~init_size ~mix:Workload.read_dominated ~f:(fun s ->
+                 { s with duration_s = duration_s *. 2.0; record_latency = true }) ))
+       [ "mp"; "ibr"; "he"; "hp"; "ebr" ])
 
 (* -- Extension: sharded request service with batched SMR ------------------- *)
 
 (* --shards N restricts the shard sweep (the CI smoke job runs 2). *)
 let service_shards : int option ref = ref None
 
-(* One bench row from a scenario phase: the phase's client result and
-   counter deltas, plus the run's watchdog verdict and end state. The GC
-   fields are not measured per shard domain and stay 0. *)
-let scenario_row ~mix_name ~shards (r : Scenario.result) (p : Scenario.phase) =
-  let open Scenario in
-  let lg = p.lg and st = r.stats in
-  {
-    Runner.spec_threads = shards;
-    mix_name;
-    total_ops = lg.Loadgen.completed;
-    throughput = lg.Loadgen.throughput;
-    wasted_avg = p.wasted_avg;
-    wasted_max = p.wasted_max;
-    wasted_peak = r.wasted_peak;
-    fences = p.fences;
-    traversed = p.traversed;
-    fences_per_node =
-      (if p.traversed = 0 then 0.0 else float_of_int p.fences /. float_of_int p.traversed);
-    scan_passes = p.scan_passes;
-    scan_time_s = p.scan_time_s;
-    violations = r.violations;
-    oom = st.Service.oom > 0;
-    alloc_stalls = st.Service.alloc_stalls;
-    ring_full = lg.Loadgen.ring_full;
-    deadline_exceeded = lg.Loadgen.deadline_exceeded;
-    crashed = r.crashed;
-    pinning_tids = r.pinning;
-    watchdog = Some r.watchdog;
-    final_size = r.final_size;
-    latency = Some lg.Loadgen.latency;
-    alloc_words_per_op = 0.0;
-    promoted_words_per_op = 0.0;
-    minor_gcs = 0;
-    arenas_attached = r.arenas_attached;
-    arenas_detached = r.arenas_detached;
-    resident_slots = r.resident_slots;
-  }
+(* A scenario phase's row: the hash set sharded over [shards] domains. *)
+let record_phase sname ~shards ~mix r p =
+  record ~ds:"hash" ~scheme:sname
+    (("threads", Report.Int shards) :: ("mix", Report.Str mix) :: Scenario.fields r p)
+
+(* A served phase's throughput cell; "*" marks a run that replied OOM. *)
+let served_tput (r, lg) =
+  Report.fmt_throughput lg.Loadgen.throughput
+  ^ if r.Scenario.stats.Mp_service.Service.oom > 0 then "*" else ""
 
 (* One service run: the hash set sharded across N domains, driven by the
    closed-loop, open-loop or chained load generator. *)
@@ -1055,15 +834,18 @@ let run_service ?zipf ?(mget = 1) ?(clients = 2) sname ~shards ~batch ~mode ~rea
           ];
       }
   in
-  let mix_name =
-    Printf.sprintf "svc_%s_%dr%di%s%s_B%d"
-      (match mode with Loadgen.Open _ -> "open" | Loadgen.Closed _ | Loadgen.Chained _ -> "closed")
-      read_pct insert_pct
-      (if mget > 1 then Printf.sprintf "_m%d" mget else "")
-      (match mode with Loadgen.Chained { chain } -> Printf.sprintf "_c%d" chain | _ -> "")
-      batch
-  in
-  (note ~ds:"hash" ~scheme:sname (scenario_row ~mix_name ~shards r (List.hd r.Scenario.phases)), r)
+  let p = List.hd r.Scenario.phases in
+  record_phase sname ~shards r p
+    ~mix:
+      (Printf.sprintf "svc_%s_%dr%di%s%s_B%d"
+         (match mode with
+         | Loadgen.Open _ -> "open"
+         | Loadgen.Closed _ | Loadgen.Chained _ -> "closed")
+         read_pct insert_pct
+         (if mget > 1 then Printf.sprintf "_m%d" mget else "")
+         (match mode with Loadgen.Chained { chain } -> Printf.sprintf "_c%d" chain | _ -> "")
+         batch);
+  (r, p.Scenario.lg)
 
 let service () =
   (* Read-heavy service mix; the batched-vs-unbatched comparison the
@@ -1095,26 +877,25 @@ let service () =
                 ~mode:(Loadgen.Closed { pipeline = 128 })
                 ~read_pct ~insert_pct ~init_size
             in
-            let r1, _ = run 1 in
-            let rb, sb = run batched_b in
+            let ((_, lg1) as run1) = run 1 in
+            let ((sb, lgb) as runb) = run batched_b in
             let stb = sb.Scenario.stats in
-            let pct h q = string_of_int (Mp_util.Histogram.percentile_ns h q) in
-            let lat = Option.get rb.Runner.latency in
+            let pct q = string_of_int (Mp_util.Histogram.percentile_ns lgb.Loadgen.latency q) in
             [
               sname;
               string_of_int shards;
-              fmt_result r1;
-              fmt_result rb;
-              Printf.sprintf "%.2fx" (rb.Runner.throughput /. r1.Runner.throughput);
+              served_tput run1;
+              served_tput runb;
+              Printf.sprintf "%.2fx" (lgb.Loadgen.throughput /. lg1.Loadgen.throughput);
               Printf.sprintf "%.1f"
                 (if stb.Mp_service.Service.batches = 0 then 0.0
                  else
                    float_of_int stb.Mp_service.Service.ops
                    /. float_of_int stb.Mp_service.Service.batches);
-              pct lat 50.0;
-              pct lat 99.0;
-              pct lat 99.9;
-              string_of_int rb.Runner.wasted_peak;
+              pct 50.0;
+              pct 99.0;
+              pct 99.9;
+              string_of_int sb.Scenario.wasted_peak;
             ])
           shard_counts)
       [ "mp"; "hp"; "ibr"; "ebr" ]
@@ -1131,22 +912,21 @@ let service () =
   (* One open-loop (Poisson) row: latency measured from scheduled arrival
      (coordinated-omission corrected), drops reported instead of hidden. *)
   let shards = match !service_shards with Some n -> n | None -> 2 in
-  let r, sr =
+  let _, lg =
     run_service "mp" ~shards ~batch:batched_b ~mget:16
       ~mode:(Loadgen.Open { rate = 50_000.0; window = 64 })
       ~read_pct ~insert_pct ~init_size
   in
-  let lat = Option.get r.Runner.latency in
-  let pct q = string_of_int (Mp_util.Histogram.percentile_ns lat q) in
+  let pct q = string_of_int (Mp_util.Histogram.percentile_ns lg.Loadgen.latency q) in
   Report.table
     ~title:"Service: open-loop (Poisson, 50K/s per client) — coordinated-omission corrected"
     ~header:[ "scheme"; "shards"; "completed/s"; "drops"; "ring full"; "p50"; "p99"; "p99.9" ]
     [
       [
         "mp"; string_of_int shards;
-        Report.fmt_throughput r.Runner.throughput;
-        string_of_int (List.hd sr.Scenario.phases).Scenario.lg.Loadgen.drops;
-        string_of_int r.Runner.ring_full;
+        Report.fmt_throughput lg.Loadgen.throughput;
+        string_of_int lg.Loadgen.drops;
+        string_of_int lg.Loadgen.ring_full;
         pct 50.0; pct 99.0; pct 99.9;
       ];
     ]
@@ -1208,9 +988,7 @@ let run_elastic sname =
           ];
       }
   in
-  List.iter2
-    (fun mix_name p ->
-      ignore (note ~ds:"hash" ~scheme:sname (scenario_row ~mix_name ~shards r p) : Runner.result))
+  List.iter2 (fun mix p -> record_phase sname ~shards ~mix r p)
     [ "svc_elastic_spike"; "svc_elastic_decay" ] r.Scenario.phases;
   r
 
@@ -1255,73 +1033,42 @@ let elastic () =
 let socket_path : string option ref = ref None
 
 (* Socket mode: closed-loop pipelined batches of text commands against a
-   running mpserver, swept over the pipelining depth. The rows share the
-   JSON schema; SMR-side fields are 0 (they live in the server's own
-   exit stats line). *)
+   running mpserver, swept over the pipelining depth. The rows carry what
+   the client measures (ops, throughput, OOM replies, latency); the
+   server-side counters live in the server's own exit stats line. *)
 let transport_socket path =
-  let run chain =
-    let lg =
-      Loadgen.run_socket ~path
-        {
-          Loadgen.clients = 2;
-          duration_s = Float.max duration_s 1.0;
-          warmup_s = Float.min !warmup 0.2;
-          read_pct = 90;
-          insert_pct = 5;
-          mget = 1;
-          key_range = 8192;
-          zipf_alpha = None;
-          seed = 0xBEEF;
-          mode = Loadgen.Chained { chain };
-          deadline_s = 0.0;
-          max_retries = 0;
-        }
-    in
-    let r =
-      {
-        Runner.spec_threads = 2;
-        mix_name = Printf.sprintf "sock_90r5i_c%d" chain;
-        total_ops = lg.Loadgen.completed;
-        throughput = lg.Loadgen.throughput;
-        wasted_avg = 0.0;
-        wasted_max = 0;
-        wasted_peak = 0;
-        fences = 0;
-        traversed = 0;
-        fences_per_node = 0.0;
-        scan_passes = 0;
-        scan_time_s = 0.0;
-        violations = 0;
-        oom = lg.Loadgen.oom > 0;
-        alloc_stalls = 0;
-        ring_full = 0;
-        deadline_exceeded = 0;
-        crashed = [];
-        pinning_tids = [];
-        watchdog = None;
-        final_size = 0;
-        latency = Some lg.Loadgen.latency;
-        alloc_words_per_op = 0.0;
-        promoted_words_per_op = 0.0;
-        minor_gcs = 0;
-        arenas_attached = 0;
-        arenas_detached = 0;
-        resident_slots = 0;
-      }
-    in
-    (note ~ds:"socket" ~scheme:"socket" r, lg)
-  in
   let rows =
     List.map
       (fun chain ->
-        let r, lg = run chain in
-        let lat = Option.get r.Runner.latency in
-        let pct q = string_of_int (Mp_util.Histogram.percentile_ns lat q) in
+        let lg =
+          Loadgen.run_socket ~path
+            {
+              Loadgen.clients = 2;
+              duration_s = Float.max duration_s 1.0;
+              warmup_s = Float.min !warmup 0.2;
+              read_pct = 90;
+              insert_pct = 5;
+              mget = 1;
+              key_range = 8192;
+              zipf_alpha = None;
+              seed = 0xBEEF;
+              mode = Loadgen.Chained { chain };
+              deadline_s = 0.0;
+              max_retries = 0;
+            }
+        in
+        record ~ds:"socket" ~scheme:"socket"
+          (Report.
+             [ ("threads", Int 2); ("mix", Str (Printf.sprintf "sock_90r5i_c%d" chain));
+               ("total_ops", Int lg.Loadgen.completed); ("throughput", Float lg.Loadgen.throughput);
+               ("oom", Bool (lg.Loadgen.oom > 0)) ]
+          @ Report.latency (Some lg.Loadgen.latency));
+        let pct q = string_of_int (Mp_util.Histogram.percentile_ns lg.Loadgen.latency q) in
         [
           string_of_int chain;
-          Report.fmt_throughput r.Runner.throughput;
-          (if r.Runner.throughput > 0.0 then
-             Printf.sprintf "%.0f" (1e9 /. r.Runner.throughput)
+          Report.fmt_throughput lg.Loadgen.throughput;
+          (if lg.Loadgen.throughput > 0.0 then
+             Printf.sprintf "%.0f" (1e9 /. lg.Loadgen.throughput)
            else "-");
           string_of_int lg.Loadgen.rejected;
           pct 50.0;
@@ -1363,7 +1110,7 @@ let transport_inproc () =
       (fun sname ->
         (* PR 5's in-process amortization reference: 16-key multi-gets
            from a window of 1-chains. *)
-        let mget_ref, _ =
+        let _, mget_ref =
           run_service sname ~shards ~batch:32 ~zipf:0.99 ~mget:16
             ~mode:(Loadgen.Closed { pipeline = 128 })
             ~clients:2 ~read_pct ~insert_pct ~init_size
@@ -1371,23 +1118,21 @@ let transport_inproc () =
         let base = ref 0.0 in
         List.map
           (fun chain ->
-            let r1, _ = run sname ~chain ~batch:1 in
-            let r32, _ = run sname ~chain ~batch:32 in
-            if chain = 1 then base := r32.Runner.throughput;
-            let lat = Option.get r32.Runner.latency in
+            let ((_, lg1) as run1) = run sname ~chain ~batch:1 in
+            let ((s32, lg32) as run32) = run sname ~chain ~batch:32 in
+            let tput32 = lg32.Loadgen.throughput in
+            if chain = 1 then base := tput32;
             [
               sname;
               string_of_int chain;
-              fmt_result r1;
-              fmt_result r32;
-              Printf.sprintf "%.2fx" (r32.Runner.throughput /. r1.Runner.throughput);
-              (if r32.Runner.throughput > 0.0 then
-                 Printf.sprintf "%.0f" (1e9 /. r32.Runner.throughput)
-               else "-");
-              Printf.sprintf "%.2fx" (r32.Runner.throughput /. !base);
-              Printf.sprintf "%.2fx" (r32.Runner.throughput /. mget_ref.Runner.throughput);
-              string_of_int (Mp_util.Histogram.percentile_ns lat 99.9);
-              string_of_int r32.Runner.wasted_peak;
+              served_tput run1;
+              served_tput run32;
+              Printf.sprintf "%.2fx" (tput32 /. lg1.Loadgen.throughput);
+              (if tput32 > 0.0 then Printf.sprintf "%.0f" (1e9 /. tput32) else "-");
+              Printf.sprintf "%.2fx" (tput32 /. !base);
+              Printf.sprintf "%.2fx" (tput32 /. mget_ref.Loadgen.throughput);
+              string_of_int (Mp_util.Histogram.percentile_ns lg32.Loadgen.latency 99.9);
+              string_of_int s32.Scenario.wasted_peak;
             ])
           [ 1; 8; 32; 64; 128 ])
       [ "mp"; "hp"; "ibr"; "ebr" ]

@@ -10,6 +10,8 @@ open Cmdliner
 module Config = Smr_core.Config
 module Workload = Mp_harness.Workload
 module Runner = Mp_harness.Runner
+module Probe = Mp_harness.Probe
+module Report = Mp_harness.Report
 module Instances = Mp_harness.Instances
 
 let run ds scheme threads size duration warmup workload margin_log2 stall_ms seed check
@@ -57,11 +59,12 @@ let run ds scheme threads size duration warmup workload margin_log2 stall_ms see
   Printf.printf "throughput       : %.0f ops/s (%d ops)%s\n" r.Runner.throughput
     r.Runner.total_ops
     (if r.Runner.oom then "  [pool exhausted]" else "");
-  Printf.printf "wasted avg / max : %.1f / %d nodes\n" r.Runner.wasted_avg r.Runner.wasted_max;
-  Printf.printf "fences / node    : %.4f (%d fences, %d visits)\n" r.Runner.fences_per_node
-    r.Runner.fences r.Runner.traversed;
-  Printf.printf "scan passes      : %d (%.4fs reclaiming)\n" r.Runner.scan_passes
-    r.Runner.scan_time_s;
+  let p = r.Runner.probe in
+  Printf.printf "wasted avg / max : %.1f / %d nodes\n" p.Probe.wasted_avg p.Probe.wasted_max;
+  Printf.printf "fences / node    : %.4f (%d fences, %d visits)\n" (Probe.fences_per_node p)
+    p.Probe.fences p.Probe.traversed;
+  Printf.printf "scan passes      : %d (%.4fs reclaiming)\n" p.Probe.scan_passes
+    p.Probe.scan_time_s;
   Printf.printf "alloc words / op : %.2f (%.2f promoted, %d minor GCs)\n"
     r.Runner.alloc_words_per_op r.Runner.promoted_words_per_op r.Runner.minor_gcs;
   Printf.printf "final size       : %d\n" r.Runner.final_size;
@@ -77,7 +80,10 @@ let run ds scheme threads size duration warmup workload margin_log2 stall_ms see
   | Some path -> (
     try
       let oc = open_out path in
-      output_string oc (Runner.results_to_json [ ("mpbench", ds, scheme, r) ]);
+      output_string oc
+        (Report.envelope
+           [ Report.[ ("experiment", Str "mpbench"); ("ds", Str ds); ("scheme", Str scheme) ]
+             @ Runner.fields r ]);
       close_out oc;
       Printf.printf "json             : %s\n" path
     with Sys_error msg ->
@@ -133,7 +139,8 @@ let json_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"also write the result as a JSON array to $(docv)")
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"also write the result as a one-row JSON envelope ({\"schema_version\":3,\"results\":[...]}) to $(docv)")
 
 let cmd =
   let term =

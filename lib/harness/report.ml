@@ -1,4 +1,5 @@
-(** Plain-text table rendering for the benchmark output. *)
+(** Plain-text table rendering for the benchmark output, and the JSON
+    rows every bench, soak and mpbench report writes. *)
 
 let hline widths =
   let parts = List.map (fun w -> String.make (w + 2) '-') widths in
@@ -57,3 +58,55 @@ let fmt_throughput ops_per_s =
     decimals resolve the "~0 on the zero-allocation read path" claim
     without drowning the table when a path does allocate. *)
 let fmt_words_per_op w = Printf.sprintf "%.2f" w
+
+(* -- machine-readable rows ------------------------------------------------- *)
+
+type value = Int of int | Float of float | Bool of bool | Str of string | Ints of int list | Null
+type row = (string * value) list
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* %g keeps the output compact and is valid JSON (exponent form
+   included); nan/inf, which JSON cannot carry, are no measurement. *)
+let json_value = function
+  | Int i -> string_of_int i
+  | Float f when not (Float.is_finite f) -> "null"
+  | Float f when Float.is_integer f && Float.abs f < 1e15 -> Printf.sprintf "%.0f" f
+  | Float f -> Printf.sprintf "%.6g" f
+  | Bool b -> string_of_bool b
+  | Str s -> json_string s
+  | Ints l -> "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+  | Null -> "null"
+
+let json_row row =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ json_value v) row) ^ "}"
+
+(* 3: a row holds only what its producer measured; what was not
+   measured is absent or null, never 0 or a passing watchdog.
+   2: the envelope itself plus [wasted_peak] and [lat_p999_ns].
+   1: the bare result array of earlier revisions. Bump on any field
+   removal or meaning change; additions are compatible within a
+   version. *)
+let envelope rows =
+  Printf.sprintf "{\"schema_version\":3,\"results\":[\n  %s\n]}\n"
+    (String.concat ",\n  " (List.map json_row rows))
+
+let latency h =
+  let of_h f = match h with None -> Null | Some h -> Int (f h) in
+  let pct q = of_h (fun h -> Mp_util.Histogram.percentile_ns h q) in
+  [ ("lat_p50_ns", pct 50.0); ("lat_p99_ns", pct 99.0); ("lat_p999_ns", pct 99.9);
+    ("lat_max_ns", of_h Mp_util.Histogram.max_ns) ]

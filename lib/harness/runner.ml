@@ -75,30 +75,19 @@ type result = {
   mix_name : string;
   total_ops : int;
   throughput : float;  (** operations per second *)
-  wasted_avg : float;  (** mean retired-but-unreclaimed nodes over samples *)
-  wasted_max : int;  (** largest wasted value any 2 ms sampler tick saw *)
+  probe : Probe.result;
+      (** wasted samples and SMR/traversal deltas of the measured window *)
   wasted_peak : int;
       (** the scheme's own high-water mark, maintained on the retire path
-          itself ({!Smr_core.Smr_intf.stats.wasted_peak}) — unlike
-          [wasted_max] it cannot miss a crest between sampler ticks. A
-          high-water mark cannot be windowed, so this covers the whole
-          run including populate and warmup. *)
-  fences : int;  (** publication fences during the measured window *)
-  traversed : int;  (** nodes visited during the measured window *)
-  fences_per_node : float;
-  scan_passes : int;  (** reclamation passes during the measured window *)
-  scan_time_s : float;  (** wall-clock seconds those passes took *)
+          itself ({!Smr_core.Smr_intf.stats.wasted_peak}) — unlike the
+          probe's [wasted_max] it cannot miss a crest between sampler
+          ticks. A high-water mark cannot be windowed, so this covers the
+          whole run including populate and warmup. *)
   violations : int;
   oom : bool;
       (** a thread starved on the pool past its retry budget (leaky
           schemes, or faults pinning everything) *)
   alloc_stalls : int;  (** pool-exhaustion retries absorbed as backpressure *)
-  ring_full : int;
-      (** service runs: submissions that found a shard's request ring
-          full (backpressure on the client side); 0 for direct runs *)
-  deadline_exceeded : int;
-      (** service runs: requests abandoned past their client deadline;
-          0 for direct runs and for runs without deadlines *)
   crashed : int list;  (** tids killed by a fault-plan crash event *)
   pinning_tids : int list;
       (** tids still holding reservations after the run — with faults, the
@@ -108,10 +97,10 @@ type result = {
   latency : Mp_util.Histogram.t option;  (** merged across threads when recorded *)
   alloc_words_per_op : float;
       (** GC-visible words allocated per measured operation, summed over
-          surviving workers (each domain samples its own [Gc.quick_stat]).
-          The zero-allocation read path shows up here as ~0. *)
+          surviving workers (each domain samples its own counters). The
+          zero-allocation read path shows up here as ~0. *)
   promoted_words_per_op : float;  (** survivors of the minor GC, per op *)
-  minor_gcs : int;  (** minor collections across workers in the window *)
+  minor_gcs : int;  (** minor collections (process-wide) in the window *)
   arenas_attached : int;
       (** elastic pool: arenas attached under load during the run (0 for
           fixed-size pools) *)
@@ -160,9 +149,9 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
   let ops = Array.make (Mp_util.Padding.spaced_length spec.threads) 0 in
   let stalls = Array.make (Mp_util.Padding.spaced_length spec.threads) 0 in
   let crashed_flags = Array.make spec.threads false in
-  (* Per-domain GC samples bracketing the measured window. [Gc.quick_stat]
-     is per-domain in OCaml 5, so each worker must sample its own; written
-     once per worker after the window, read after the join. *)
+  (* Per-domain GC samples bracketing the measured window: each worker
+     samples its own words; written once per worker after the window,
+     read after the join. *)
   let gc_before = Array.make spec.threads Mp_util.Gcstat.zero in
   let gc_after = Array.make spec.threads Mp_util.Gcstat.zero in
   let histograms = Array.init spec.threads (fun _ -> Mp_util.Histogram.create ()) in
@@ -278,24 +267,14 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
      counters are captured at the phase flip, so warmup fences and visits
      are excluded along with warmup ops. *)
   if spec.warmup_s > 0.0 then Unix.sleepf spec.warmup_s;
-  let stats0 = SET.smr_stats t in
-  let traversed0 = SET.traversed t in
+  let probe = Probe.start (module SET) t in
+  let minor0 = Mp_util.Gcstat.minor_collections () in
   Atomic.set phase 1;
   (* Main thread samples wasted memory while the clock runs. *)
   let t_start = Unix.gettimeofday () in
-  let wasted_sum = ref 0.0 and wasted_samples = ref 0 and wasted_max = ref 0 in
-  let pool = SET.pool t in
   while Unix.gettimeofday () -. t_start < spec.duration_s && not (Atomic.get oom) do
     Unix.sleepf 0.002;
-    (* A draining arena's parked slots are committed-but-unusable memory:
-       they count as wasted until the SMR barrier completes the detach
-       (the watchdog's elastic_slack widens the ceiling to match). *)
-    let w =
-      (SET.smr_stats t).Smr_core.Smr_intf.wasted + Mempool.Core.detaching_slots pool
-    in
-    wasted_sum := !wasted_sum +. float_of_int w;
-    incr wasted_samples;
-    if w > !wasted_max then wasted_max := w;
+    let w = Probe.tick probe in
     Option.iter (fun wd -> Watchdog.observe wd ~wasted:w) wd
   done;
   Atomic.set phase 2;
@@ -303,6 +282,7 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
      is raised, not after Domain.join — join/teardown time is not time the
      workers spent producing the counted operations. *)
   let elapsed = Unix.gettimeofday () -. t_start in
+  let minor_gcs = Mp_util.Gcstat.minor_collections () - minor0 in
   Array.iter Domain.join domains;
   (if spec.faults <> None then Mp_util.Fault.disarm ());
   let crashed =
@@ -311,8 +291,7 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
   (* Surviving threads cleared their announcements on the way out, so any
      tid still occupying a reservation slot is a stalled/crashed one. *)
   let pinning = SET.pinning_tids t in
-  let stats1 = SET.smr_stats t in
-  let traversed1 = SET.traversed t in
+  let probe = Probe.stop probe in
   (* Throughput counts only threads that lived to the end: a crashed
      domain's partial op count would dilute per-thread comparability. *)
   let total_ops =
@@ -323,16 +302,13 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
     !sum
   in
   let alloc_stalls = Array.fold_left ( + ) 0 stalls in
-  let fences = stats1.Smr_core.Smr_intf.fences - stats0.Smr_core.Smr_intf.fences in
-  let traversed = traversed1 - traversed0 in
   (* Sum per-domain GC deltas over the threads whose ops were counted. *)
-  let alloc_words = ref 0.0 and promoted = ref 0.0 and minor_gcs = ref 0 in
+  let alloc_words = ref 0.0 and promoted = ref 0.0 in
   for tid = 0 to spec.threads - 1 do
     if not crashed_flags.(tid) then begin
       let before = gc_before.(tid) and after = gc_after.(tid) in
       alloc_words := !alloc_words +. Mp_util.Gcstat.alloc_words ~before ~after;
-      promoted := !promoted +. Mp_util.Gcstat.promoted_words ~before ~after;
-      minor_gcs := !minor_gcs + Mp_util.Gcstat.minor_collections ~before ~after
+      promoted := !promoted +. Mp_util.Gcstat.promoted_words ~before ~after
     end
   done;
   let per_op x = if total_ops = 0 then 0.0 else x /. float_of_int total_ops in
@@ -341,21 +317,11 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
     mix_name = spec.mix.Workload.name;
     total_ops;
     throughput = float_of_int total_ops /. elapsed;
-    wasted_avg =
-      (if !wasted_samples = 0 then 0.0 else !wasted_sum /. float_of_int !wasted_samples);
-    wasted_max = !wasted_max;
-    wasted_peak = stats1.Smr_core.Smr_intf.wasted_peak;
-    fences;
-    traversed;
-    fences_per_node =
-      (if traversed = 0 then 0.0 else float_of_int fences /. float_of_int traversed);
-    scan_passes = stats1.Smr_core.Smr_intf.scan_passes - stats0.Smr_core.Smr_intf.scan_passes;
-    scan_time_s = stats1.Smr_core.Smr_intf.scan_time_s -. stats0.Smr_core.Smr_intf.scan_time_s;
+    probe;
+    wasted_peak = (SET.smr_stats t).Smr_core.Smr_intf.wasted_peak;
     violations = SET.violations t;
     oom = Atomic.get oom;
     alloc_stalls;
-    ring_full = 0;
-    deadline_exceeded = 0;
     crashed;
     pinning_tids = pinning;
     watchdog = Option.map Watchdog.verdict wd;
@@ -369,76 +335,26 @@ let run (module SET : Dstruct.Set_intf.SET) (spec : spec) : result =
        else None);
     alloc_words_per_op = per_op !alloc_words;
     promoted_words_per_op = per_op !promoted;
-    minor_gcs = !minor_gcs;
-    arenas_attached = Mempool.Core.arenas_attached pool;
-    arenas_detached = Mempool.Core.arenas_detached pool;
-    resident_slots = Mempool.Core.resident_slots pool;
+    minor_gcs;
+    arenas_attached = Mempool.Core.arenas_attached (SET.pool t);
+    arenas_detached = Mempool.Core.arenas_detached (SET.pool t);
+    resident_slots = Mempool.Core.resident_slots (SET.pool t);
   }
 
-(* -- machine-readable results --------------------------------------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* %g keeps the output compact and is valid JSON (exponent form
-   included); nan/inf, which JSON cannot carry, degrade to 0. *)
-let json_float f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-(** One benchmark run as a flat JSON object ([experiment]/[ds]/[scheme]
-    label where in the suite the numbers came from). Latency percentiles
-    are 0 when the run did not record latency. *)
-let result_to_json ?(experiment = "") ?(ds = "") ?(scheme = "") (r : result) =
-  let lat_p50, lat_p99, lat_p999, lat_max =
-    match r.latency with
-    | None -> (0, 0, 0, 0)
-    | Some h ->
-      ( Mp_util.Histogram.percentile_ns h 50.0,
-        Mp_util.Histogram.percentile_ns h 99.0,
-        Mp_util.Histogram.percentile_ns h 99.9,
-        Mp_util.Histogram.max_ns h )
-  in
-  let json_int_list l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]" in
-  Printf.sprintf
-    "{\"experiment\":\"%s\",\"ds\":\"%s\",\"scheme\":\"%s\",\"threads\":%d,\"mix\":\"%s\",\"total_ops\":%d,\"throughput\":%s,\"wasted_avg\":%s,\"wasted_max\":%d,\"wasted_peak\":%d,\"fences\":%d,\"traversed\":%d,\"fences_per_node\":%s,\"scan_passes\":%d,\"scan_time_s\":%s,\"violations\":%d,\"oom\":%b,\"alloc_stalls\":%d,\"ring_full\":%d,\"deadline_exceeded\":%d,\"crashed\":%s,\"pinning_tids\":%s,%s,\"final_size\":%d,\"lat_p50_ns\":%d,\"lat_p99_ns\":%d,\"lat_p999_ns\":%d,\"lat_max_ns\":%d,\"alloc_words_per_op\":%s,\"promoted_words_per_op\":%s,\"minor_gcs\":%d,\"arenas_attached\":%d,\"arenas_detached\":%d,\"resident_slots\":%d}"
-    (json_escape experiment) (json_escape ds) (json_escape scheme) r.spec_threads
-    (json_escape r.mix_name) r.total_ops (json_float r.throughput) (json_float r.wasted_avg)
-    r.wasted_max r.wasted_peak r.fences r.traversed (json_float r.fences_per_node) r.scan_passes
-    (json_float r.scan_time_s) r.violations r.oom r.alloc_stalls r.ring_full
-    r.deadline_exceeded (json_int_list r.crashed)
-    (json_int_list r.pinning_tids)
-    (Watchdog.json_fields r.watchdog)
-    r.final_size lat_p50 lat_p99 lat_p999 lat_max
-    (json_float r.alloc_words_per_op) (json_float r.promoted_words_per_op) r.minor_gcs
-    r.arenas_attached r.arenas_detached r.resident_slots
-
-(** Version of the JSON layout emitted by {!envelope} (bench and soak
-    reports alike). 2 = the versioned envelope itself
-    plus [wasted_peak] and [lat_p999_ns]; 1 = the bare result array of
-    earlier revisions. Bump on any field removal or meaning change;
-    additions are compatible within a version. *)
-let schema_version = 2
-
-(** Wrap rendered JSON objects in the versioned envelope
-    [{"schema_version":N,"results":[...]}]. *)
-let envelope objects =
-  Printf.sprintf "{\"schema_version\":%d,\"results\":[\n  %s\n]}\n" schema_version
-    (String.concat ",\n  " objects)
-
-(** Serialize a batch of labelled results as a versioned envelope. *)
-let results_to_json entries =
-  envelope
-    (List.map (fun (experiment, ds, scheme, r) -> result_to_json ~experiment ~ds ~scheme r) entries)
+(** One run's JSON fields, in the order the bench rows have always
+    carried them; [wd_*] are [null] without a watchdog and [lat_*]
+    without recorded latency. *)
+let fields r =
+  let open Report in
+  [ ("threads", Int r.spec_threads); ("mix", Str r.mix_name); ("total_ops", Int r.total_ops);
+    ("throughput", Float r.throughput) ]
+  @ Probe.fields r.probe
+  @ [ ("wasted_peak", Int r.wasted_peak); ("violations", Int r.violations); ("oom", Bool r.oom);
+      ("alloc_stalls", Int r.alloc_stalls); ("crashed", Ints r.crashed);
+      ("pinning_tids", Ints r.pinning_tids) ]
+  @ Watchdog.fields r.watchdog
+  @ (("final_size", Int r.final_size) :: latency r.latency)
+  @ [ ("alloc_words_per_op", Float r.alloc_words_per_op);
+      ("promoted_words_per_op", Float r.promoted_words_per_op); ("minor_gcs", Int r.minor_gcs);
+      ("arenas_attached", Int r.arenas_attached); ("arenas_detached", Int r.arenas_detached);
+      ("resident_slots", Int r.resident_slots) ]

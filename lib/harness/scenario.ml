@@ -34,16 +34,11 @@ type spec = {
   phases : Loadgen.spec list;
 }
 
-(** One load phase: its client result plus the sampler's and the SMR
-    counters' view of the same window. *)
+(** One load phase: its client result plus the probe's view of the same
+    window. *)
 type phase = {
   lg : Loadgen.result;
-  wasted_avg : float;  (** wasted + detaching slots, over the phase's ticks *)
-  wasted_max : int;
-  fences : int;
-  traversed : int;
-  scan_passes : int;
-  scan_time_s : float;
+  probe : Probe.result;
   arenas_at_end : int;  (** arenas attached when the phase ended *)
 }
 
@@ -111,46 +106,28 @@ let run (spec : spec) =
       (module SET) t ~shards:spec.shards ~batch:spec.batch ~ring_capacity:spec.ring_capacity
   in
   Service.start svc;
-  (* The one sampler: the draining arena's parked slots are waste until
-     the detach completes, so every sample counts them. *)
+  (* The one sampler: every tick feeds the watchdog, the sample log and
+     the arena peak, and folds into the open probe's window. *)
   let samples = ref [] and peak_arenas = ref (Mempool.Core.attached_arenas pool) in
-  let sample () =
-    let w = (SET.smr_stats t).Smr_core.Smr_intf.wasted + Mempool.Core.detaching_slots pool in
+  let sample probe =
+    let w = Probe.tick probe in
     Watchdog.observe wd ~wasted:w;
     samples := (Unix.gettimeofday (), w) :: !samples;
-    peak_arenas := max !peak_arenas (Mempool.Core.attached_arenas pool);
-    w
+    peak_arenas := max !peak_arenas (Mempool.Core.attached_arenas pool)
   in
   let phase p =
-    let st0 = SET.smr_stats t and traversed0 = SET.traversed t in
-    let sum = ref 0.0 and ticks = ref 0 and wmax = ref 0 in
-    let tick () =
-      let w = sample () in
-      sum := !sum +. float_of_int w;
-      incr ticks;
-      wmax := max !wmax w
-    in
-    let lg = Loadgen.run ~tick svc p in
-    let st1 = SET.smr_stats t in
-    let open Smr_core.Smr_intf in
-    {
-      lg;
-      wasted_avg = (if !ticks = 0 then 0.0 else !sum /. float_of_int !ticks);
-      wasted_max = !wmax;
-      fences = st1.fences - st0.fences;
-      traversed = SET.traversed t - traversed0;
-      scan_passes = st1.scan_passes - st0.scan_passes;
-      scan_time_s = st1.scan_time_s -. st0.scan_time_s;
-      arenas_at_end = Mempool.Core.attached_arenas pool;
-    }
+    let probe = Probe.start (module SET) t in
+    let lg = Loadgen.run ~tick:(fun () -> sample probe) svc p in
+    { lg; probe = Probe.stop probe; arenas_at_end = Mempool.Core.attached_arenas pool }
   in
   let phases = List.map phase spec.phases in
   Service.stop svc;
   let crashed = Fault.crashed_tids () in
   Fault.disarm ();
   (* After the shards flushed on the way out: the truest "settled"
-     point of a fixed pool. *)
-  ignore (sample () : int);
+     point of a fixed pool. The settle's own window is never reported. *)
+  let settle = Probe.start (module SET) t in
+  sample settle;
   let pinning = SET.pinning_tids t in
   (* Settle an elastic pool: single-threaded over tid 0 (the exiting
      workers handed their magazines back), remove sweeps free the
@@ -171,7 +148,7 @@ let run (spec : spec) =
     done;
     SET.flush s0;
     Mempool.Core.release_local pool ~tid:0;
-    ignore (sample () : int)
+    sample settle
   done;
   let settle_s = Unix.gettimeofday () -. t_settle in
   SET.check t;
@@ -192,3 +169,20 @@ let run (spec : spec) =
     arenas_detached = Mempool.Core.arenas_detached pool;
     resident_slots = Mempool.Core.resident_slots pool;
   }
+
+(** One phase's JSON fields: its load and probe window, plus the run's
+    watchdog verdict and end state. A scenario spans the service's shard
+    and client domains, so it has no GC fields. *)
+let fields r p =
+  let open Report in
+  [ ("total_ops", Int p.lg.Loadgen.completed); ("throughput", Float p.lg.Loadgen.throughput) ]
+  @ Probe.fields p.probe
+  @ [ ("wasted_peak", Int r.wasted_peak); ("violations", Int r.violations);
+      ("oom", Bool (r.stats.Service.oom > 0)); ("alloc_stalls", Int r.stats.Service.alloc_stalls);
+      ("ring_full", Int p.lg.Loadgen.ring_full);
+      ("deadline_exceeded", Int p.lg.Loadgen.deadline_exceeded); ("crashed", Ints r.crashed);
+      ("pinning_tids", Ints r.pinning) ]
+  @ Watchdog.fields (Some r.watchdog)
+  @ (("final_size", Int r.final_size) :: latency (Some p.lg.Loadgen.latency))
+  @ [ ("arenas_attached", Int r.arenas_attached); ("arenas_detached", Int r.arenas_detached);
+      ("resident_slots", Int r.resident_slots) ]

@@ -142,9 +142,11 @@ let to_string v =
       (if v.vspec.advisory then "VIOLATION-expected" else "VIOLATION")
       v.violations v.samples v.vspec.bound v.peak_wasted v.first_violation
 
-(** Flat JSON fields for embedding in a result object (no braces). *)
-let json_fields = function
-  | None -> "\"wd_bound\":0,\"wd_violations\":0,\"wd_peak\":0,\"wd_advisory\":false,\"wd_ok\":true"
-  | Some v ->
-    Printf.sprintf "\"wd_bound\":%d,\"wd_violations\":%d,\"wd_peak\":%d,\"wd_advisory\":%b,\"wd_ok\":%b"
-      v.vspec.bound v.violations v.peak_wasted v.vspec.advisory (ok v)
+(** The [wd_*] JSON fields; all [null] when no watchdog was armed. *)
+let fields v =
+  let f name get = (name, match v with None -> Report.Null | Some v -> get v) in
+  [ f "wd_bound" (fun v -> Report.Int v.vspec.bound);
+    f "wd_violations" (fun v -> Report.Int v.violations);
+    f "wd_peak" (fun v -> Report.Int v.peak_wasted);
+    f "wd_advisory" (fun v -> Report.Bool v.vspec.advisory);
+    f "wd_ok" (fun v -> Report.Bool (ok v)) ]

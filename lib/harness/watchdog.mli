@@ -54,5 +54,7 @@ val ok : verdict -> bool
 
 val to_string : verdict -> string
 
-(** Flat JSON fields ([wd_*]) for embedding in a result object. *)
-val json_fields : verdict option -> string
+(** The [wd_*] JSON fields ([wd_bound], [wd_violations], [wd_peak],
+    [wd_advisory], [wd_ok]); all [null] when no watchdog was armed, so an
+    unarmed run never reads as a pass. *)
+val fields : verdict option -> Report.row

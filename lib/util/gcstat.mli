@@ -2,14 +2,11 @@
     gcstat.ml). Shared by the harness runner and bench/main so the two
     measurement loops account for self-allocation identically. *)
 
-type sample = {
-  minor_words : float;
-  promoted_words : float;
-  major_words : float;
-  minor_collections : int;
-}
+type sample = { minor_words : float; promoted_words : float; major_words : float }
 
-(** Sample the calling domain's GC counters ([Gc.quick_stat]). *)
+(** Sample the calling domain's own allocation counters
+    ([Gc.minor_words], [Gc.counters]); other domains' allocation never
+    shows up here. *)
 val sample : unit -> sample
 
 (** Words allocated between [before] and [after] (minor + direct major,
@@ -17,7 +14,10 @@ val sample : unit -> sample
 val alloc_words : before:sample -> after:sample -> float
 
 val promoted_words : before:sample -> after:sample -> float
-val minor_collections : before:sample -> after:sample -> int
+
+(** Minor collections so far, process-wide: every minor collection stops
+    every domain, so one delta on the sampling domain covers a window. *)
+val minor_collections : unit -> int
 
 (** All-zero sample, for initializing slots before workers report. *)
 val zero : sample

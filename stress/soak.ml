@@ -40,6 +40,7 @@
 
 module Fault = Mp_util.Fault
 module Watchdog = Mp_harness.Watchdog
+module Report = Mp_harness.Report
 module Scenario = Mp_harness.Scenario
 module Loadgen = Mp_service.Loadgen
 
@@ -70,21 +71,12 @@ let require label ok fmt =
    reproducible from the base seed alone. *)
 let cell_seed ~base ~round key = (base * 1_000_003) + (round * 7919) + Hashtbl.hash key
 
-let int = string_of_int
-let str s = "\"" ^ s ^ "\""
 let tids l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
-
-(* One JSON row: (key, rendered value) pairs, then the watchdog fields. *)
-let row fields v =
-  Printf.sprintf "{%s,%s}"
-    (String.concat "," (List.map (fun (k, x) -> Printf.sprintf "\"%s\":%s" k x) fields))
-    (Watchdog.json_fields (Some v))
-
 let pct (lg : Loadgen.result) q = Mp_util.Histogram.percentile_ns lg.Loadgen.latency q
 
 let latency_fields lg =
-  [ ("lat_p50_ns", int (pct lg 50.0)); ("lat_p99_ns", int (pct lg 99.0));
-    ("lat_p999_ns", int (pct lg 99.9)) ]
+  [ ("lat_p50_ns", Report.Int (pct lg 50.0)); ("lat_p99_ns", Int (pct lg 99.0));
+    ("lat_p999_ns", Int (pct lg 99.9)) ]
 
 let peak samples = List.fold_left (fun m (_, w) -> max m w) 0 samples
 
@@ -160,10 +152,10 @@ let fault_cell (ds_name, make) (s_name, scheme) ~round ~seed =
   let crashed, pinning, v = direct_round make scheme ~plan ~seed () in
   ( Printf.sprintf "%s(%s) round %d %s  crashed=%s pinning=%s  %s" ds_name s_name round
       (Fault.plan_to_string plan) (tids crashed) (tids pinning) (Watchdog.to_string v),
-    row
-      [ ("round", int round); ("ds", str ds_name); ("scheme", str s_name); ("seed", int seed);
-        ("crashed", tids crashed); ("pinning", tids pinning) ]
-      v )
+    Report.
+      [ ("round", Int round); ("ds", Str ds_name); ("scheme", Str s_name); ("seed", Int seed);
+        ("crashed", Ints crashed); ("pinning", Ints pinning) ]
+    @ Watchdog.fields (Some v) )
 
 (* -- served rounds ------------------------------------------------------------ *)
 
@@ -211,15 +203,14 @@ let service_cell (s_name, scheme) ~round ~seed =
   ( Printf.sprintf "service(%s) round %d B=%d %s  crashed=%s pinning=%s  %s  p50/p99/p99.9=%d/%d/%dns"
       s_name round batch (Fault.plan_to_string plan) (tids r.Scenario.crashed)
       (tids r.Scenario.pinning) (Watchdog.to_string v) (pct lg 50.0) (pct lg 99.0) (pct lg 99.9),
-    row
-      ([ ("round", int round); ("ds", str "service-hash"); ("scheme", str s_name);
-         ("seed", int seed); ("batch", int batch); ("crashed", tids r.Scenario.crashed);
-         ("pinning", tids r.Scenario.pinning); ("submitted", int lg.Loadgen.submitted);
-         ("completed", int lg.Loadgen.completed); ("rejected", int lg.Loadgen.rejected);
-         ("drops", int lg.Loadgen.drops); ("ring_full", int lg.Loadgen.ring_full);
-         ("busy", int lg.Loadgen.busy); ("deadline_exceeded", int lg.Loadgen.deadline_exceeded) ]
-      @ latency_fields lg)
-      v )
+    Report.
+      [ ("round", Int round); ("ds", Str "service-hash"); ("scheme", Str s_name);
+        ("seed", Int seed); ("batch", Int batch); ("crashed", Ints r.Scenario.crashed);
+        ("pinning", Ints r.Scenario.pinning); ("submitted", Int lg.Loadgen.submitted);
+        ("completed", Int lg.Loadgen.completed); ("rejected", Int lg.Loadgen.rejected);
+        ("drops", Int lg.Loadgen.drops); ("ring_full", Int lg.Loadgen.ring_full);
+        ("busy", Int lg.Loadgen.busy); ("deadline_exceeded", Int lg.Loadgen.deadline_exceeded) ]
+    @ latency_fields lg @ Watchdog.fields (Some v) )
 
 (* All six schemes: the five above plus the leaky baseline (its adopt is
    a no-op, but recovery must still respawn and conserve requests). *)
@@ -289,21 +280,19 @@ let chaos_cell (s_name, scheme) ~round ~seed =
       "chaos(%s) round %d  crashes=%d recoveries=%d adoptions=%d rec_ms=%.2f/%.2f  wasted base/tail=%d/%d  %s"
       s_name round crashes rs.recoveries rs.adoptions (rs.mean_recovery_s *. 1e3)
       (rs.max_recovery_s *. 1e3) baseline_peak tail_peak (Watchdog.to_string v),
-    row
-      ([ ("ds", str "service-hash"); ("scheme", str s_name); ("seed", int seed); ("batch", int 8);
-         ("crashes", int crashes); ("recoveries", int rs.recoveries);
-         ("adoptions", int rs.adoptions);
-         ("recovery_ms_mean", Printf.sprintf "%.3f" (rs.mean_recovery_s *. 1e3));
-         ("recovery_ms_max", Printf.sprintf "%.3f" (rs.max_recovery_s *. 1e3));
-         ("baseline_wasted_peak", int baseline_peak); ("tail_wasted_peak", int tail_peak);
-         ("waste_ok", string_of_bool waste_ok); ("conservation_ok", string_of_bool conservation_ok);
-         ("submitted", int lg.Loadgen.submitted); ("completed", int lg.Loadgen.completed);
-         ("completed_reqs", int lg.Loadgen.completed_reqs); ("rejected", int lg.Loadgen.rejected);
-         ("busy", int lg.Loadgen.busy); ("oom", int lg.Loadgen.oom); ("drops", int lg.Loadgen.drops);
-         ("deadline_exceeded", int lg.Loadgen.deadline_exceeded);
-         ("ring_full", int lg.Loadgen.ring_full); ("retries", int lg.Loadgen.retries) ]
-      @ latency_fields lg)
-      v )
+    Report.
+      [ ("ds", Str "service-hash"); ("scheme", Str s_name); ("seed", Int seed); ("batch", Int 8);
+        ("crashes", Int crashes); ("recoveries", Int rs.recoveries);
+        ("adoptions", Int rs.adoptions); ("recovery_ms_mean", Float (rs.mean_recovery_s *. 1e3));
+        ("recovery_ms_max", Float (rs.max_recovery_s *. 1e3));
+        ("baseline_wasted_peak", Int baseline_peak); ("tail_wasted_peak", Int tail_peak);
+        ("waste_ok", Bool waste_ok); ("conservation_ok", Bool conservation_ok);
+        ("submitted", Int lg.Loadgen.submitted); ("completed", Int lg.Loadgen.completed);
+        ("completed_reqs", Int lg.Loadgen.completed_reqs); ("rejected", Int lg.Loadgen.rejected);
+        ("busy", Int lg.Loadgen.busy); ("oom", Int lg.Loadgen.oom); ("drops", Int lg.Loadgen.drops);
+        ("deadline_exceeded", Int lg.Loadgen.deadline_exceeded);
+        ("ring_full", Int lg.Loadgen.ring_full); ("retries", Int lg.Loadgen.retries) ]
+    @ latency_fields lg @ Watchdog.fields (Some v) )
 
 (* One elastic round: a hash-table service over an elastic pool
    (max_arenas = 4, one arena far smaller than the spike's working set)
@@ -366,16 +355,15 @@ let elastic_cell (s_name, scheme) ~round ~seed =
       "elastic(%s) round %d  arenas peak=%d attached=%d detached=%d resident=%d  stalls=%d oom=%d crashes=%d recoveries=%d settle=%.2fs  %s"
       s_name round r.peak_arenas r.arenas_attached r.arenas_detached r.resident_slots
       st.alloc_stalls st.oom st.crash_events recoveries r.settle_s (Watchdog.to_string v),
-    row
-      [ ("ds", str "service-hash"); ("scheme", str s_name); ("seed", int seed);
-        ("capacity", int capacity); ("max_arenas", int max_arenas);
-        ("arenas_attached", int r.arenas_attached); ("arenas_detached", int r.arenas_detached);
-        ("peak_arenas", int r.peak_arenas); ("resident_final", int r.resident_slots);
-        ("live_peak", int st.live_peak); ("alloc_stalls", int st.alloc_stalls);
-        ("oom", int st.oom); ("crashes", int st.crash_events); ("recoveries", int recoveries);
-        ("settle_s", Printf.sprintf "%.3f" r.settle_s);
-        ("conservation_ok", string_of_bool conservation_ok) ]
-      v )
+    Report.
+      [ ("ds", Str "service-hash"); ("scheme", Str s_name); ("seed", Int seed);
+        ("capacity", Int capacity); ("max_arenas", Int max_arenas);
+        ("arenas_attached", Int r.arenas_attached); ("arenas_detached", Int r.arenas_detached);
+        ("peak_arenas", Int r.peak_arenas); ("resident_final", Int r.resident_slots);
+        ("live_peak", Int st.live_peak); ("alloc_stalls", Int st.alloc_stalls);
+        ("oom", Int st.oom); ("crashes", Int st.crash_events); ("recoveries", Int recoveries);
+        ("settle_s", Float r.settle_s); ("conservation_ok", Bool conservation_ok) ]
+    @ Watchdog.fields (Some v) )
 
 (* -- rounds loop and command line ------------------------------------------- *)
 
@@ -395,7 +383,7 @@ let soak ~base ~rounds ~json_file ~banner cells =
   Option.iter
     (fun path ->
       let oc = open_out path in
-      output_string oc (Mp_harness.Runner.envelope (List.rev !rows));
+      output_string oc (Report.envelope (List.rev !rows));
       close_out oc;
       Printf.printf "[wrote %d verdicts to %s]\n%!" (List.length !rows) path)
     json_file;

@@ -8,6 +8,8 @@ module Runner = Mp_harness.Runner
 module Instances = Mp_harness.Instances
 module Scenario = Mp_harness.Scenario
 module Watchdog = Mp_harness.Watchdog
+module Probe = Mp_harness.Probe
+module Report = Mp_harness.Report
 module Loadgen = Mp_service.Loadgen
 
 let mixes_sum_to_100 () =
@@ -83,11 +85,11 @@ let runner_stall_injection () =
   let mp = Runner.run (Instances.make Instances.List_ds Instances.mp) spec in
   Alcotest.(check int) "ebr no UAF" 0 ebr.Runner.violations;
   Alcotest.(check int) "mp no UAF" 0 mp.Runner.violations;
+  let avg (r : Runner.result) = r.probe.Probe.wasted_avg in
   Alcotest.(check bool)
-    (Printf.sprintf "ebr wastes more than mp under stalls (%.0f vs %.0f)" ebr.Runner.wasted_avg
-       mp.Runner.wasted_avg)
+    (Printf.sprintf "ebr wastes more than mp under stalls (%.0f vs %.0f)" (avg ebr) (avg mp))
     true
-    (ebr.Runner.wasted_avg >= mp.Runner.wasted_avg)
+    (avg ebr >= avg mp)
 
 let fences_counted_for_pbr () =
   let config = Config.default ~threads:2 in
@@ -97,11 +99,41 @@ let fences_counted_for_pbr () =
       Runner.duration_s = 0.15;
     }
   in
-  let hp = Runner.run (Instances.make Instances.List_ds Instances.hp) spec in
-  Alcotest.(check bool) "hp issues fences" true (hp.Runner.fences > 0);
-  Alcotest.(check bool) "traversal counted" true (hp.Runner.traversed > 0);
+  let hp = (Runner.run (Instances.make Instances.List_ds Instances.hp) spec).Runner.probe in
+  Alcotest.(check bool) "hp issues fences" true (hp.Probe.fences > 0);
+  Alcotest.(check bool) "traversal counted" true (hp.Probe.traversed > 0);
   Alcotest.(check bool) "fences/node in (0, 2]" true
-    (hp.Runner.fences_per_node > 0.0 && hp.Runner.fences_per_node <= 2.0)
+    (Probe.fences_per_node hp > 0.0 && Probe.fences_per_node hp <= 2.0)
+
+let has_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A run without a watchdog measured no bound: every wd_* field renders
+   null, never a 0 bound that reads as a pass. *)
+let unarmed_watchdog_is_null () =
+  let config = Config.default ~threads:1 in
+  let spec =
+    {
+      (Runner.default ~threads:1 ~init_size:64 ~mix:Workload.read_only ~config) with
+      Runner.duration_s = 0.05;
+    }
+  in
+  let r = Runner.run (Instances.make Instances.List_ds Instances.mp) spec in
+  let json = Report.envelope [ Runner.fields r ] in
+  List.iter
+    (fun k ->
+      let field = Printf.sprintf "\"%s\":null" k in
+      Alcotest.(check bool) field true (has_sub json field))
+    [ "wd_bound"; "wd_violations"; "wd_peak"; "wd_advisory"; "wd_ok" ]
+
+(* The envelope's rendering of what was not measured: Null and a NaN
+   both become null; strings are escaped. *)
+let envelope_renders_absent_values () =
+  Alcotest.(check string) "schema 3 envelope"
+    "{\"schema_version\":3,\"results\":[\n  {\"a\":null,\"b\":null,\"c\":\"say \\\"hi\\\"\"}\n]}\n"
+    (Report.envelope [ [ ("a", Report.Null); ("b", Report.Float Float.nan); ("c", Report.Str "say \"hi\"") ] ])
 
 let instances_registry () =
   Alcotest.(check int) "six schemes" 6 (List.length Instances.schemes);
@@ -136,8 +168,8 @@ let scenario_per_phase () =
         phase ~duration_s:0.2 ~read_pct:0 ~insert_pct:50 ~key_range:512 ~seed:2 ]
   in
   let reads = List.nth r.Scenario.phases 0 and churn = List.nth r.Scenario.phases 1 in
-  Alcotest.(check int) "read-only phase never scans" 0 reads.Scenario.scan_passes;
-  Alcotest.(check bool) "churn phase scans" true (churn.Scenario.scan_passes > 0);
+  Alcotest.(check int) "read-only phase never scans" 0 reads.Scenario.probe.Probe.scan_passes;
+  Alcotest.(check bool) "churn phase scans" true (churn.Scenario.probe.Probe.scan_passes > 0);
   List.iter
     (fun p ->
       Alcotest.(check bool) "phase completed requests" true (p.Scenario.lg.Loadgen.completed > 0);
@@ -182,6 +214,9 @@ let () =
           Alcotest.test_case "stall injection" `Slow runner_stall_injection;
           Alcotest.test_case "fence accounting" `Slow fences_counted_for_pbr;
           Alcotest.test_case "registry" `Quick instances_registry;
+          Alcotest.test_case "unarmed watchdog is null" `Slow unarmed_watchdog_is_null;
+          Alcotest.test_case "envelope renders absent values" `Quick
+            envelope_renders_absent_values;
         ] );
       ( "scenario",
         [

@@ -140,6 +140,34 @@ let relaxed_own_writes () =
     Alcotest.(check int) "own write mirrored" i (Mp_util.Relaxed.get slot)
   done
 
+(* -- GC sampling ---------------------------------------------------------- *)
+
+(* A sample counts the calling domain's words only: a spawned domain's
+   3M two-word refs land in its own delta, and the main domain, which
+   only waits for it, sees next to nothing of them. The window opens
+   after the spawn, whose own bookkeeping allocates on the main domain. *)
+let gcstat_counts_own_domain () =
+  let go = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        let before = Mp_util.Gcstat.sample () in
+        for i = 1 to 3_000_000 do
+          ignore (Sys.opaque_identity (ref i))
+        done;
+        Mp_util.Gcstat.alloc_words ~before ~after:(Mp_util.Gcstat.sample ()))
+  in
+  let before = Mp_util.Gcstat.sample () in
+  Atomic.set go true;
+  let spawned = Domain.join d in
+  let own = Mp_util.Gcstat.alloc_words ~before ~after:(Mp_util.Gcstat.sample ()) in
+  Alcotest.(check bool) (Printf.sprintf "spawned domain counted (%.0f words)" spawned) true
+    (spawned > 5e6);
+  Alcotest.(check bool) (Printf.sprintf "main domain not charged (%.0f words)" own) true
+    (own < 1_000.0)
+
 let () =
   Alcotest.run "util"
     [
@@ -168,4 +196,5 @@ let () =
           Alcotest.test_case "two-domain handshake" `Quick relaxed_handshake;
           Alcotest.test_case "own-slot mirror" `Quick relaxed_own_writes;
         ] );
+      ("gcstat", [ Alcotest.test_case "per-domain words" `Quick gcstat_counts_own_domain ]);
     ]
