@@ -75,6 +75,14 @@ type thread = {
   mp_snap : Reservation.snapshot;
   hp_snap : Reservation.snapshot;
   epoch_snap : int array;
+  (* Per-pass margin table, rebuilt by [empty] from the snapshots: entry
+     i holds snapshot margin i's idx16 coverage interval and its owner's
+     announced epoch, so judging a node costs two compares per margin.
+     Reused across passes; grows only with the snapshot buffer. *)
+  mutable tab_lo : int array;
+  mutable tab_hi : int array;
+  mutable tab_epoch : int array;
+  mutable tab_len : int;
 }
 
 type t = {
@@ -133,6 +141,10 @@ let create ~pool ~threads (config : Config.t) =
           mp_snap = Reservation.snapshot_create ();
           hp_snap = Reservation.snapshot_create ();
           epoch_snap = Array.make threads Epoch.inactive;
+          tab_lo = [||];
+          tab_hi = [||];
+          tab_epoch = [||];
+          tab_len = 0;
         })
   in
   { s; per_thread }
@@ -241,6 +253,20 @@ let alloc_with_index th ~index =
   Mempool.Core.set_birth s.pool id (Epoch.current s.epoch);
   id
 
+(* -- coverage (Appendix A items 6-7) ------------------------------------- *)
+
+(** Store in [lo.(i)] and [hi.(i)] the inclusive idx16 interval a margin
+    announced at [v] covers: the idx16s whose whole 16-bit precision
+    range lies inside [v ± margin/2], clamped below the USE_HP idx16 so
+    coverage never vouches for a USE_HP node. With [margin >= 2^16] it is
+    never empty. The reader's mirror and the reclamation pass's table
+    both fill through this one function, so they cannot disagree. *)
+let cover_interval ~margin v lo hi i =
+  let half = margin / 2 in
+  lo.(i) <- Int.max 0 ((v - half + precision_range - 1) asr Handle.precision);
+  hi.(i) <-
+    Int.min (Handle.idx16_mask - 1) ((v + half - (precision_range - 1)) asr Handle.precision)
+
 (* -- protection (read of Listing 10) ------------------------------------- *)
 
 (* The slow-path helpers live at top level with explicit arguments so a
@@ -282,15 +308,10 @@ and read_slow th refno link w =
     else begin
       (* Publish a new margin pointer at the midpoint of the node's
          precision range, fence, and validate the link. Cache the idx16
-         interval whose whole precision range the margin covers (clamped
-         below the USE_HP idx16, so a coverage hit never vouches for a
-         USE_HP node); with margin >= 2^16 it is never empty. *)
+         interval the margin covers (see [cover_interval]). *)
       let v = Handle.idx_lower_bound w + (precision_range / 2) in
       Reservation.publish s.mps ~tid:th.tid ~refno v;
-      th.cover_lo.(refno) <-
-        max 0 ((v - (s.margin / 2) + precision_range - 1) asr Handle.precision);
-      th.cover_hi.(refno) <-
-        min (Handle.idx16_mask - 1) ((v + (s.margin / 2) - (precision_range - 1)) asr Handle.precision);
+      cover_interval ~margin:s.margin v th.cover_lo th.cover_hi refno;
       (* Margin visible, link and epoch not yet re-validated — the
          interleaving Thm 4.2 must survive. *)
       Mp_util.Fault.hit ~tid:th.tid Mp_util.Fault.Protect_validate;
@@ -343,12 +364,43 @@ let handle_of th id = Mempool.Core.handle th.shared.pool id
 
 (* -- reclamation (empty of Listing 10) ----------------------------------- *)
 
-(* Same coverage predicate as the reader: the margin must contain the
-   node's whole 16-bit precision range (Appendix A items 6-7). *)
-let covers margin v idx16 =
-  idx16 >= max 0 ((v - (margin / 2) + precision_range - 1) asr Handle.precision)
-  && idx16
-     <= min (Handle.idx16_mask - 1) ((v + (margin / 2) - (precision_range - 1)) asr Handle.precision)
+(* Fill the margin table from the current snapshots, in snapshot order. *)
+let build_table th =
+  let snap = th.mp_snap in
+  let n = snap.Reservation.len in
+  if Array.length th.tab_lo < Array.length snap.Reservation.vals then begin
+    let cap = Array.length snap.Reservation.vals in
+    th.tab_lo <- Array.make cap 0;
+    th.tab_hi <- Array.make cap 0;
+    th.tab_epoch <- Array.make cap 0
+  end;
+  for i = 0 to n - 1 do
+    cover_interval ~margin:th.shared.margin snap.Reservation.vals.(i) th.tab_lo th.tab_hi i;
+    th.tab_epoch.(i) <- th.epoch_snap.(snap.Reservation.owners.(i))
+  done;
+  th.tab_len <- n
+
+(* Does table entry [i] or a later one cover [idx16] with an owner epoch
+   inside the node's closed lifetime [birth, death]? The epoch filter: a
+   thread whose announced epoch misses the lifetime cannot have
+   margin-protected the node (Thm 4.2). *)
+let rec margin_covers th idx16 ~birth ~death i =
+  i < th.tab_len
+  && ((idx16 >= Array.unsafe_get th.tab_lo i
+      && idx16 <= Array.unsafe_get th.tab_hi i
+      &&
+      let e = Array.unsafe_get th.tab_epoch i in
+      e >= birth && e <= death)
+     || margin_covers th idx16 ~birth ~death (i + 1))
+
+let keep th id =
+  let pool = th.shared.pool in
+  Reservation.mem th.hp_snap id
+  ||
+  let idx = Mempool.Core.index pool id in
+  idx <> use_hp
+  && margin_covers th (idx lsr Handle.precision) ~birth:(Mempool.Core.birth pool id)
+       ~death:(Mempool.Core.death pool id) 0
 
 let empty th =
   let s = th.shared in
@@ -356,37 +408,14 @@ let empty th =
      announces its epoch before publishing margins (start_op then read), so
      a margin captured in the slot snapshot always pairs with an
      up-to-date announcement; the reverse order could pair a fresh margin
-     with a stale "inactive" epoch and skip a live protection. *)
+     with a stale "inactive" epoch and skip a live protection. The table
+     is derived from the snapshots afterwards and changes no order. *)
   Reservation.snapshot s.mps th.mp_snap;
   Reservation.snapshot s.hps th.hp_snap;
   Reservation.sort th.hp_snap;
   Epoch.snapshot_announced s.epoch th.epoch_snap;
-  let margins = th.mp_snap.Reservation.vals
-  and owners = th.mp_snap.Reservation.owners
-  and m_n = th.mp_snap.Reservation.len in
-  let keep id =
-    if Reservation.mem th.hp_snap id then true
-    else begin
-      let idx = Mempool.Core.index s.pool id in
-      if idx = use_hp then false
-      else begin
-        let idx16 = idx lsr Handle.precision in
-        let birth = Mempool.Core.birth s.pool id and death = Mempool.Core.death s.pool id in
-        (* The epoch filter: a thread whose announced epoch misses the
-           node's lifetime cannot have margin-protected it (Thm 4.2). *)
-        let rec scan i =
-          i < m_n
-          && ((covers s.margin margins.(i) idx16
-              &&
-              let e = th.epoch_snap.(owners.(i)) in
-              e >= birth && e <= death)
-             || scan (i + 1))
-        in
-        scan 0
-      end
-    end
-  in
-  Reclaimer.scan th.rsv ~keep;
+  build_table th;
+  Reclaimer.scan th.rsv ~keep:(keep th);
   (* Arena detach barrier. MP pins through two channels: fallback hazards
      name node ids directly (checked against a fresh snapshot), while a
      margin only protects a node when its owner's announced epoch covers

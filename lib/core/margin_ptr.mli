@@ -11,6 +11,15 @@
 
 include Smr_core.Smr_intf.S
 
+(** [cover_interval ~margin v lo hi i] stores in [lo.(i)] and [hi.(i)]
+    the inclusive idx16 interval that a margin of width [margin]
+    announced at index [v] covers: every idx16 whose whole 16-bit
+    precision range lies inside [v ± margin/2], clamped to
+    [\[0, Handle.idx16_mask - 1\]] so no USE_HP node is ever covered.
+    The reader's coverage mirror and the reclamation pass's margin table
+    are both filled by this function. *)
+val cover_interval : margin:int -> int -> int array -> int array -> int -> unit
+
 (** Introspection hooks for tests and the wasted-memory experiments. *)
 module Debug : sig
   val epoch : t -> Smr_core.Epoch.t

@@ -228,33 +228,38 @@ module Make (S : Smr_core.Smr_intf.S) = struct
       ([kept_sibling] says which). The kept edge may itself carry a
       migrated flag, so flags alone cannot identify the removed leaf. All
       edges in the chain are flagged/tagged, hence immutable; fields are
-      read before the node is retired. *)
-  let retire_chain s k ~successor ~parent ~kept_sibling =
-    let t = s.t in
-    let rec down cur =
-      let n = node t cur in
-      let path_next = Handle.id (Atomic.get (child_field n k)) in
-      let off_path = Atomic.get (sibling_field n k) in
-      if cur <> parent then begin
-        S.retire s.th (Handle.id off_path);
-        S.retire s.th cur;
-        down path_next
-      end
-      else begin
-        let removed =
-          if kept_sibling then Atomic.get (child_field n k) else off_path
-        in
-        assert (Handle.mark removed land flag <> 0);
-        S.retire s.th (Handle.id removed);
-        S.retire s.th cur
-      end
-    in
-    down successor
+      read before the node is retired. The walk starts at [cur =
+      successor]. *)
+  let rec retire_chain s k ~parent ~kept_sibling cur =
+    let n = node s.t cur in
+    let path_next = Handle.id (Atomic.get (child_field n k)) in
+    let off_path = Atomic.get (sibling_field n k) in
+    if cur <> parent then begin
+      S.retire s.th (Handle.id off_path);
+      S.retire s.th cur;
+      retire_chain s k ~parent ~kept_sibling path_next
+    end
+    else begin
+      let removed = if kept_sibling then Atomic.get (child_field n k) else off_path in
+      assert (Handle.mark removed land flag <> 0);
+      S.retire s.th (Handle.id removed);
+      S.retire s.th cur
+    end
 
   type cleanup_result =
     | Won  (** our swing CAS unlinked the chain (and we retired it) *)
     | Lost  (** a pending removal exists but another thread's CAS won *)
     | No_pending  (** no flag under [parent]: the seek record is stale *)
+
+  (* Freeze edge [f] with a tag, preserving a flag another removal may
+     already have put on it (that flag migrates up with the swing), and
+     return the frozen word. *)
+  let rec freeze f =
+    let w = Atomic.get f in
+    if Handle.mark w land tag <> 0 then w
+    else if Atomic.compare_and_set f w (Handle.with_mark w (Handle.mark w lor tag)) then
+      Handle.with_mark w (Handle.mark w lor tag)
+    else freeze f
 
   (** Attempt to complete the removal recorded in [sr]: freeze the
       surviving edge with a tag, then swing the ancestor → successor edge
@@ -269,136 +274,121 @@ module Make (S : Smr_core.Smr_intf.S) = struct
     let child_f = child_field parent_n k in
     let sibling_f = sibling_field parent_n k in
     let child_w = Atomic.get child_f in
-    let keep =
-      if Handle.mark child_w land flag <> 0 then Some (sibling_f, true)
-      else if Handle.mark (Atomic.get sibling_f) land flag <> 0 then
-        (* The flagged leaf is off our path: keep our side. *)
-        Some (child_f, false)
-      else None
-    in
-    match keep with
-    | None -> No_pending
-    | Some (keep_f, kept_sibling) ->
-      (* Freeze the surviving edge (preserving a flag another removal may
-         already have put on it — that flag migrates up with the swing). *)
-      let rec freeze () =
-        let w = Atomic.get keep_f in
-        if Handle.mark w land tag <> 0 then w
-        else if Atomic.compare_and_set keep_f w (Handle.with_mark w (Handle.mark w lor tag))
-        then Handle.with_mark w (Handle.mark w lor tag)
-        else freeze ()
-      in
-      let frozen = freeze () in
+    (* A flag on our edge keeps the sibling; otherwise a flag on the
+       sibling edge (the flagged leaf is off our path) keeps our side. *)
+    let kept_sibling = Handle.mark child_w land flag <> 0 in
+    if (not kept_sibling) && Handle.mark (Atomic.get sibling_f) land flag = 0 then No_pending
+    else begin
+      let frozen = freeze (if kept_sibling then sibling_f else child_f) in
       let expected = S.handle_of s.th sr.successor in
       let replacement = Handle.with_mark frozen (Handle.mark frozen land flag) in
       if Atomic.compare_and_set ancestor_field expected replacement then begin
-        retire_chain s k ~successor:sr.successor ~parent:sr.parent ~kept_sibling;
+        retire_chain s k ~parent:sr.parent ~kept_sibling sr.successor;
         Won
       end
       else Lost
+    end
+
+  let rec insert_loop s ~key ~value =
+    let t = s.t in
+    seek s key;
+    let sr = s.sr in
+    let leaf_n = node t sr.leaf in
+    if leaf_n.key = key then false
+    else begin
+      let leaf_key = leaf_n.key in
+      (* report the final search interval: the last right-turn node
+         bounds from below, the last left-turn node from above (plus the
+         final leaf on whichever side it falls) *)
+      let lo = if key < leaf_key then sr.bound_lo else sr.leaf in
+      let hi = if key < leaf_key then sr.leaf else sr.bound_hi in
+      if lo >= 0 then S.update_lower_bound s.th lo;
+      if hi >= 0 then S.update_upper_bound s.th hi;
+      let new_leaf = S.alloc s.th in
+      let ln = Mempool.unsafe_get t.pool new_leaf in
+      ln.key <- key;
+      ln.value <- value;
+      Atomic.set ln.left Handle.null;
+      Atomic.set ln.right Handle.null;
+      (* The router duplicates the larger of the two keys and shares the
+         index of the node carrying that key. *)
+      let router_key = max key leaf_key in
+      let router_index =
+        if key < leaf_key then Mempool.Core.index (Mempool.core t.pool) sr.leaf
+        else Mempool.Core.index (Mempool.core t.pool) new_leaf
+      in
+      let router = S.alloc_with_index s.th ~index:router_index in
+      let rn = Mempool.unsafe_get t.pool router in
+      rn.key <- router_key;
+      let new_leaf_w = S.handle_of s.th new_leaf in
+      if key < leaf_key then begin
+        Atomic.set rn.left new_leaf_w;
+        Atomic.set rn.right sr.leaf_w
+      end
+      else begin
+        Atomic.set rn.left sr.leaf_w;
+        Atomic.set rn.right new_leaf_w
+      end;
+      let parent_field = child_field (node t sr.parent) key in
+      if Atomic.compare_and_set parent_field sr.leaf_w (S.handle_of s.th router) then true
+      else begin
+        (* Not linked: recycle both slots; help a pending removal of the
+           leaf if that is what beat us. *)
+        Mempool.free t.pool ~tid:s.tid new_leaf;
+        Mempool.free t.pool ~tid:s.tid router;
+        let w = Atomic.get parent_field in
+        if Handle.id w = sr.leaf && Handle.mark w <> 0 then
+          ignore (cleanup s key sr : cleanup_result);
+        insert_loop s ~key ~value
+      end
+    end
 
   let insert s ~key ~value =
     assert (key >= 0 && key <= max_client_key);
     S.start_op s.th;
-    let t = s.t in
-    let rec loop () =
-      seek s key;
-      let sr = s.sr in
-      let leaf_n = node t sr.leaf in
-      if leaf_n.key = key then false
-      else begin
-        let leaf_key = leaf_n.key in
-        (* report the final search interval: the last right-turn node
-           bounds from below, the last left-turn node from above (plus the
-           final leaf on whichever side it falls) *)
-        let lo, hi =
-          if key < leaf_key then (sr.bound_lo, sr.leaf) else (sr.leaf, sr.bound_hi)
-        in
-        if lo >= 0 then S.update_lower_bound s.th lo;
-        if hi >= 0 then S.update_upper_bound s.th hi;
-        let new_leaf = S.alloc s.th in
-        let ln = Mempool.unsafe_get t.pool new_leaf in
-        ln.key <- key;
-        ln.value <- value;
-        Atomic.set ln.left Handle.null;
-        Atomic.set ln.right Handle.null;
-        (* The router duplicates the larger of the two keys and shares the
-           index of the node carrying that key. *)
-        let router_key = max key leaf_key in
-        let router_index =
-          if key < leaf_key then Mempool.Core.index (Mempool.core t.pool) sr.leaf
-          else Mempool.Core.index (Mempool.core t.pool) new_leaf
-        in
-        let router = S.alloc_with_index s.th ~index:router_index in
-        let rn = Mempool.unsafe_get t.pool router in
-        rn.key <- router_key;
-        let new_leaf_w = S.handle_of s.th new_leaf in
-        if key < leaf_key then begin
-          Atomic.set rn.left new_leaf_w;
-          Atomic.set rn.right sr.leaf_w
-        end
-        else begin
-          Atomic.set rn.left sr.leaf_w;
-          Atomic.set rn.right new_leaf_w
-        end;
-        let parent_field = child_field (node t sr.parent) key in
-        if Atomic.compare_and_set parent_field sr.leaf_w (S.handle_of s.th router) then true
-        else begin
-          (* Not linked: recycle both slots; help a pending removal of the
-             leaf if that is what beat us. *)
-          Mempool.free t.pool ~tid:s.tid new_leaf;
-          Mempool.free t.pool ~tid:s.tid router;
-          let w = Atomic.get parent_field in
-          if Handle.id w = sr.leaf && Handle.mark w <> 0 then
-            ignore (cleanup s key sr : cleanup_result);
-          loop ()
-        end
-      end
-    in
-    let result = loop () in
+    let result = insert_loop s ~key ~value in
     flush_trav s;
     S.end_op s.th;
     result
 
+  (* Injection mode: flag the parent → leaf edge to claim the removal. *)
+  let rec injection s key =
+    seek s key;
+    let sr = s.sr in
+    let leaf_n = node s.t sr.leaf in
+    if leaf_n.key <> key then false
+    else begin
+      let parent_field = child_field (node s.t sr.parent) key in
+      if Atomic.compare_and_set parent_field sr.leaf_w (Handle.with_mark sr.leaf_w flag) then
+        match cleanup s key sr with
+        | Won -> true
+        | Lost | No_pending -> cleanup_mode s key sr.leaf
+      else begin
+        let w = Atomic.get parent_field in
+        if Handle.id w = sr.leaf && Handle.mark w <> 0 then
+          ignore (cleanup s key sr : cleanup_result);
+        injection s key
+      end
+    end
+
+  (* Cleanup mode: our leaf is flagged; retry until it is unlinked (by us
+     or a helper). Slot-reuse ABA is benign: [cleanup] re-verifies the
+     flag before acting, and a [No_pending] answer on a same-id leaf
+     means our flagged victim is already gone (flags are permanent while
+     linked), i.e. some helper completed our removal. *)
+  and cleanup_mode s key victim =
+    seek s key;
+    let sr = s.sr in
+    if sr.leaf <> victim then true
+    else
+      match cleanup s key sr with
+      | Won | No_pending -> true
+      | Lost -> cleanup_mode s key victim
+
   let remove s key =
     assert (key >= 0 && key <= max_client_key);
     S.start_op s.th;
-    let t = s.t in
-    (* Injection mode: flag the parent → leaf edge to claim the removal. *)
-    let rec injection () =
-      seek s key;
-      let sr = s.sr in
-      let leaf_n = node t sr.leaf in
-      if leaf_n.key <> key then false
-      else begin
-        let parent_field = child_field (node t sr.parent) key in
-        if Atomic.compare_and_set parent_field sr.leaf_w (Handle.with_mark sr.leaf_w flag)
-        then
-          match cleanup s key sr with
-          | Won -> true
-          | Lost | No_pending -> cleanup_mode sr.leaf
-        else begin
-          let w = Atomic.get parent_field in
-          if Handle.id w = sr.leaf && Handle.mark w <> 0 then
-            ignore (cleanup s key sr : cleanup_result);
-          injection ()
-        end
-      end
-    (* Cleanup mode: our leaf is flagged; retry until it is unlinked (by us
-       or a helper). Slot-reuse ABA is benign: [cleanup] re-verifies the
-       flag before acting, and a [No_pending] answer on a same-id leaf
-       means our flagged victim is already gone (flags are permanent while
-       linked), i.e. some helper completed our removal. *)
-    and cleanup_mode victim =
-      seek s key;
-      let sr = s.sr in
-      if sr.leaf <> victim then true
-      else
-        match cleanup s key sr with
-        | Won | No_pending -> true
-        | Lost -> cleanup_mode victim
-    in
-    let result = injection () in
+    let result = injection s key in
     flush_trav s;
     S.end_op s.th;
     result

@@ -38,9 +38,10 @@
     unmapping it (dropping payloads and free-list arrays) is gated through
     the SMR layer ({!Smr_core.Detach}): a scheme completes the detach from
     its scan path exactly when no reservation can still reach a node in the
-    arena. The metadata words ([state]/[index]/[birth]/[death]/
-    [incarnation]) persist as a shim after detach, so stale handles keep
-    failing validation and the UAF detector keeps counting.
+    arena. Each slot's metadata record (state, index, birth, death,
+    incarnation: one interleaved run of words in the arena's [meta]
+    array) persists as a shim after detach, so stale handles keep failing
+    validation and the UAF detector keeps counting.
 
     {2 Free lists}
 
@@ -114,11 +115,12 @@ module Core = struct
            [max_arenas] with no grow or drain in flight, so backoff-and-
            retry cannot be satisfied by an arena attach (see
            {!last_alloc_hard}) *)
+    mutable allocs : int; (* slots this thread allocated *)
     mutable live : int; (* this thread's allocs - frees; may go negative *)
     mutable peak : int;
         (* high-water mark of [live]; mirrored into the shared
            [live_peak] stripe only when it rises, so steady-state allocs
-           pay two plain field updates instead of striped-counter reads *)
+           pay plain field updates instead of striped-counter reads *)
     (* scratch for partitioning a mixed chain at spill time; owned by the
        magazine's thread, so plain arrays *)
     scr_head : int array;
@@ -128,20 +130,27 @@ module Core = struct
     mutable pad_1 : int;
   }
 
-  (* One fixed-size arena. The metadata arrays ([state] .. [incarnation])
-     are the post-detach shim: they persist for the life of the pool so
-     stale ids keep resolving to validating-but-failing metadata (and the
-     incarnation clock never rewinds across a detach/re-attach cycle).
-     The free-list arrays and the payloads (held by ['a t]) are what a
-     detach actually unmaps. *)
+  (* A slot's persistent metadata is one record of [meta_words]
+     consecutive words at [off * meta_words] in its arena's [meta], so
+     the words a reclamation pass reads to judge a node and [free]
+     writes to release it share one cache line. All-zero is a free slot
+     ([state_free] = 0) with index, epochs and incarnation 0. *)
+  let meta_words = 5
+  let m_state = 0
+  let m_index = 1 (* 32-bit MP index *)
+  let m_birth = 2 (* birth epoch *)
+  let m_death = 3 (* retirement epoch *)
+  let m_incarnation = 4 (* bumped on every free; detects slot reuse *)
+
+  (* One fixed-size arena. [meta] is the post-detach shim: it persists
+     for the life of the pool so stale ids keep resolving to
+     validating-but-failing metadata (and the incarnation clock never
+     rewinds across a detach/re-attach cycle). The free-list arrays and
+     the payloads (held by ['a t]) are what a detach actually unmaps. *)
   type arena = {
     base : int; (* first slot id of this arena *)
     size : int;
-    state : int array;
-    index : int array; (* 32-bit MP index *)
-    birth : int array; (* birth epoch *)
-    death : int array; (* retirement epoch *)
-    incarnation : int array; (* bumped on every free; detects slot reuse *)
+    meta : int array; (* [size * meta_words] words, see [meta_words] *)
     mutable stack_next : int array; (* free-list links (full ids), -1 terminated *)
     mutable chain_next : int array; (* by chain-head offset: next chain head id *)
     mutable chain_len : int array; (* by chain-head offset: slots in this chain *)
@@ -183,8 +192,6 @@ module Core = struct
     fair_share : int; (* magazine size: chain length and overflow trigger *)
     check_access : bool;
     violations : int Atomic.t;
-    allocs : Mp_util.Striped_counter.t;
-    frees : Mp_util.Striped_counter.t;
     live_peak : Mp_util.Striped_counter.t;
         (* per-thread high-water mark of (allocs - frees); the summed
            peak is a conservative upper bound on the true peak live
@@ -198,6 +205,9 @@ module Core = struct
 
   let[@inline] arena_of t id = Array.unsafe_get t.arenas (id lsr t.off_bits)
   let[@inline] off_of t id = id land t.off_mask
+
+  (* Position of slot [id]'s metadata record in its arena's [meta]. *)
+  let[@inline] meta_of t id = off_of t id * meta_words
 
   (* -- per-arena stacks of chains (version-tagged against ABA) ------------ *)
 
@@ -373,11 +383,7 @@ module Core = struct
     {
       base;
       size;
-      state = Array.make size state_free;
-      index = Array.make size 0;
-      birth = Array.make size 0;
-      death = Array.make size 0;
-      incarnation = Array.make size 0;
+      meta = Array.make (size * meta_words) 0;
       stack_next = Array.make size (-1);
       chain_next = Array.make size (-1);
       chain_len = Array.make size 0;
@@ -442,6 +448,7 @@ module Core = struct
                 spare_tail = -1;
                 spare_arena = tag_none;
                 last_hard = false;
+                allocs = 0;
                 live = 0;
                 peak = 0;
                 scr_head = Array.make max_arenas (-1);
@@ -453,8 +460,6 @@ module Core = struct
         fair_share;
         check_access;
         violations = Atomic.make 0;
-        allocs = Mp_util.Striped_counter.create ~threads;
-        frees = Mp_util.Striped_counter.create ~threads;
         live_peak = Mp_util.Striped_counter.create ~threads;
       }
     in
@@ -740,10 +745,11 @@ module Core = struct
       if l.head >= 0 then take t ~tid l else -1
     end
     else begin
-      assert (a.state.(off) = state_free);
-      a.state.(off) <- state_live;
-      a.index.(off) <- 0;
-      Mp_util.Striped_counter.incr t.allocs ~tid;
+      let m = off * meta_words in
+      assert (a.meta.(m + m_state) = state_free);
+      a.meta.(m + m_state) <- state_live;
+      a.meta.(m + m_index) <- 0;
+      l.allocs <- l.allocs + 1;
       (* Live count can only rise on an alloc, so this is the one place
          the high-water mark needs lifting. The per-tid difference may go
          negative (slots are freed by the retiring thread, not always the
@@ -751,8 +757,8 @@ module Core = struct
          peaks still dominates every instantaneous global live count —
          the right direction for a capacity ceiling. The shared stripe
          the sampler reads is written only when the peak actually rises
-         (a plateau in steady state), keeping the hot path to two plain
-         field updates. *)
+         (a plateau in steady state), keeping the hot path to plain field
+         updates. *)
       l.live <- l.live + 1;
       if l.live > l.peak then begin
         l.peak <- l.live;
@@ -821,11 +827,11 @@ module Core = struct
   let free t ~tid id =
     let a = arena_of t id in
     let off = off_of t id in
-    assert (a.state.(off) <> state_free);
+    let m = off * meta_words in
+    assert (a.meta.(m + m_state) <> state_free);
     record_history id "free";
-    a.state.(off) <- state_free;
-    a.incarnation.(off) <- a.incarnation.(off) + 1;
-    Mp_util.Striped_counter.incr t.frees ~tid;
+    a.meta.(m + m_state) <- state_free;
+    a.meta.(m + m_incarnation) <- a.meta.(m + m_incarnation) + 1;
     let l = t.locals.(tid) in
     l.live <- l.live - 1;
     if t.elastic && drain_arena (Atomic.get t.draining) = id lsr t.off_bits then park t a id
@@ -880,21 +886,21 @@ module Core = struct
 
   (* -- metadata accessors ------------------------------------------------ *)
 
-  let[@inline] state t id = (arena_of t id).state.(off_of t id)
+  let[@inline] state t id = (arena_of t id).meta.(meta_of t id + m_state)
   let[@inline] is_free t id = state t id = state_free
 
   let mark_retired t id =
     assert (state t id = state_live);
     record_history id "retire";
-    (arena_of t id).state.(off_of t id) <- state_retired
+    (arena_of t id).meta.(meta_of t id + m_state) <- state_retired
 
-  let[@inline] index t id = (arena_of t id).index.(off_of t id)
-  let set_index t id v = (arena_of t id).index.(off_of t id) <- v
-  let[@inline] birth t id = (arena_of t id).birth.(off_of t id)
-  let set_birth t id v = (arena_of t id).birth.(off_of t id) <- v
-  let[@inline] death t id = (arena_of t id).death.(off_of t id)
-  let set_death t id v = (arena_of t id).death.(off_of t id) <- v
-  let[@inline] incarnation t id = (arena_of t id).incarnation.(off_of t id)
+  let[@inline] index t id = (arena_of t id).meta.(meta_of t id + m_index)
+  let set_index t id v = (arena_of t id).meta.(meta_of t id + m_index) <- v
+  let[@inline] birth t id = (arena_of t id).meta.(meta_of t id + m_birth)
+  let set_birth t id v = (arena_of t id).meta.(meta_of t id + m_birth) <- v
+  let[@inline] death t id = (arena_of t id).meta.(meta_of t id + m_death)
+  let set_death t id v = (arena_of t id).meta.(meta_of t id + m_death) <- v
+  let[@inline] incarnation t id = (arena_of t id).meta.(meta_of t id + m_incarnation)
 
   (** Canonical (unmarked) handle for slot [id], embedding the top 16 bits
       of its MP index. *)
@@ -917,13 +923,15 @@ module Core = struct
   (* -- statistics -------------------------------------------------------- *)
 
   let violations t = Atomic.get t.violations
-  let alloc_count t = Mp_util.Striped_counter.sum t.allocs
-  let free_count t = Mp_util.Striped_counter.sum t.frees
-
-  (* Derived rather than its own striped counter: one fewer atomic RMW on
-     both hot paths, and the sampler's read stays well-defined (both
-     addends are atomic sums). *)
-  let live_count t = alloc_count t - free_count t
+  (* The alloc and free counts are the owners' plain [allocs] and [live]
+     fields, not striped atomics: a locked RMW per call drains the store
+     buffer, so in a reclamation pass every free would wait for the
+     previous free's link store to reach the cache. A reader racing the
+     owners reads values they stored (OCaml's memory model has no torn or
+     invented reads); after the owners stopped, the sums are exact. *)
+  let alloc_count t = Array.fold_left (fun acc l -> acc + l.allocs) 0 t.locals
+  let live_count t = Array.fold_left (fun acc l -> acc + l.live) 0 t.locals
+  let free_count t = alloc_count t - live_count t
 
   (** High-water mark of the live count, maintained on the alloc path so
       peaks between sampler ticks are visible. Summed over per-thread

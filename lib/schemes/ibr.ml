@@ -154,20 +154,25 @@ let handle_of th id = Mempool.Core.handle th.shared.pool id
 
 (* Node [birth, death] conflicts with interval [lo, hi] unless
    death < lo or birth > hi; idle intervals are empty and never
-   conflict. Flat snapshots index endpoint values by tid. *)
+   conflict. Flat snapshots index endpoint values by tid, so thread [t]'s
+   interval is [lo.(t), hi.(t)]. Top-level, so judging a node builds no
+   closure. *)
+let rec conflict th ~birth ~death t =
+  t < th.shared.threads
+  && ((not
+         (death < Array.unsafe_get th.snap_lo.Reservation.vals t
+         || birth > Array.unsafe_get th.snap_hi.Reservation.vals t))
+     || conflict th ~birth ~death (t + 1))
+
+let keep th id =
+  let pool = th.shared.pool in
+  conflict th ~birth:(Mempool.Core.birth pool id) ~death:(Mempool.Core.death pool id) 0
+
 let empty th =
   let s = th.shared in
   Reservation.snapshot_flat s.lower th.snap_lo;
   Reservation.snapshot_flat s.upper th.snap_hi;
-  let lo = th.snap_lo.Reservation.vals and hi = th.snap_hi.Reservation.vals in
-  let keep id =
-    let birth = Mempool.Core.birth s.pool id and death = Mempool.Core.death s.pool id in
-    let rec conflict t =
-      t < s.threads && ((not (death < lo.(t) || birth > hi.(t))) || conflict (t + 1))
-    in
-    conflict 0
-  in
-  Reclaimer.scan th.rsv ~keep;
+  Reclaimer.scan th.rsv ~keep:(keep th);
   (* Arena detach barrier. Stamp-and-advance at full park; the arena is
      unmappable once every active reader's lower endpoint postdates the
      stamp (idle intervals are empty and filtered from the occupied-only

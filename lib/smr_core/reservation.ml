@@ -212,14 +212,33 @@ let snapshot_flat t snap =
   done;
   snap.len <- !k
 
-(** Sort the snapshot values with [Int.compare] so membership queries are
-    binary search. Allocation-free: the buffer's unused tail is padded
-    with [max_int] and the whole array heap-sorted in place (announced
-    values must therefore be below [max_int]; node ids, eras and indices
-    all are). Invalidates [owners]. *)
+(* Restore the max-heap property of [a.(0 .. n-1)] below position [i]. *)
+let rec sift_down (a : int array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    let x = a.(i) in
+    if a.(c) > x then begin
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down a c n
+    end
+  end
+
+(** Sort the snapshot's [len] prefix in place so membership queries are
+    binary search. A top-level heap sort: no closure, no exception, no
+    allocation. Invalidates [owners]. *)
 let sort snap =
-  Array.fill snap.vals snap.len (Array.length snap.vals - snap.len) max_int;
-  Array.sort Int.compare snap.vals
+  let a = snap.vals and n = snap.len in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
 
 (* First position in the sorted prefix holding a value >= [v]
    ([snap.len] if none). *)

@@ -96,9 +96,9 @@ val snapshot : t -> snapshot -> unit
     [(tid × slots) + refno] order, for scans indexed by thread. *)
 val snapshot_flat : t -> snapshot -> unit
 
-(** In-place [Int.compare] sort of the snapshot (no polymorphic compare,
-    no allocation); enables {!mem}/{!exists_in_range}. Announced values
-    must be below [max_int]. Invalidates [owners]. *)
+(** In-place integer sort of the snapshot's [len] prefix (no closure,
+    no polymorphic compare, no allocation); enables
+    {!mem}/{!exists_in_range}. Invalidates [owners]. *)
 val sort : snapshot -> unit
 
 (** Binary-search membership in a sorted snapshot. *)

@@ -11,7 +11,11 @@
      (the striped counter shows the exact per-op visit count, no more) and
      lose no counts when sessions run on separate domains;
    - a request-ring chain's whole cycle (submit, complete, wait,
-     harvest) must allocate nothing, as the ring promises. *)
+     harvest) must allocate nothing, as the ring promises;
+   - NM-tree updates over MP, reclamation passes included, allocate
+     next to nothing per operation;
+   - a reclamation pass allocates O(1) words however long the retired
+     backlog it re-examines, under every scheme. *)
 
 module L = Dstruct.Michael_list.Make (Smr_schemes.Leaky)
 module Config = Smr_core.Config
@@ -123,6 +127,94 @@ let ring_chain_alloc_free n () =
     Alcotest.failf "a chain of %d allocates %.2f minor words per cycle (expected ~0)" n
       per_cycle
 
+(* -- NM-tree updates ----------------------------------------------------- *)
+
+module B = Dstruct.Nm_bst.Make (Mp.Margin_ptr)
+
+(* 50/50 insert/remove over a key range twice the populated size, so
+   about half of each kind succeed and every op that retires the
+   threshold-th node pays a whole pass. *)
+let nm_bst_updates_alloc () =
+  let size = 8_192 in
+  let range = 2 * size in
+  let t = B.create ~threads:1 ~capacity:(8 * size) (Config.default ~threads:1) in
+  let s = B.session t ~tid:0 in
+  let rng = Mp_util.Rng.create 17 in
+  let step () =
+    let k = Mp_util.Rng.below rng range in
+    if Mp_util.Rng.below rng 2 = 0 then ignore (B.insert s ~key:k ~value:k : bool)
+    else ignore (B.remove s k : bool)
+  in
+  (* Random insertion order: the tree is unbalanced. *)
+  let n = ref 0 in
+  while !n < size do
+    let k = Mp_util.Rng.below rng range in
+    if B.insert s ~key:k ~value:k then incr n
+  done;
+  for _ = 1 to 20_000 do
+    step ()
+  done;
+  let passes0 = (B.smr_stats t).Smr_core.Smr_intf.scan_passes in
+  let ops = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to ops do
+    step ()
+  done;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+  if (B.smr_stats t).Smr_core.Smr_intf.scan_passes = passes0 then
+    Alcotest.fail "no reclamation pass ran during the measured ops";
+  if per_op >= 2.0 then
+    Alcotest.failf "nm_bst(mp) updates allocate %.2f minor words/op (expected < 2)" per_op
+
+(* -- reclamation passes ----------------------------------------------------- *)
+
+let backlog = 4_096
+let passes = 10
+
+(* Ten passes, each over [backlog] retired nodes, must allocate under one
+   word per examined node: the pass's own O(1) words, none per node.
+   With [pinned], tid 1 holds an open reservation covering every node
+   (read before they retire, after they were born; MP nodes carry real
+   indices inside its margin), so each flush re-examines and keeps the
+   whole backlog. Without it (HP, whose hazards pin single nodes) each
+   flush frees a freshly retired backlog. Automatic passes are disabled
+   by an [empty_freq] above the backlog, so only the flushes scan. *)
+let pass_alloc (module S : Smr_core.Smr_intf.S) ~pinned () =
+  let threads = 2 in
+  let pool = Mempool.Core.create ~capacity:((2 * backlog) + 1_024) ~threads () in
+  let config = Config.with_empty_freq (Config.default ~threads) (4 * backlog) in
+  let smr = S.create ~pool ~threads config in
+  let th0 = S.thread smr ~tid:0 and th1 = S.thread smr ~tid:1 in
+  let index = 0x4000_8000 in
+  let fill () =
+    let ids = Array.init backlog (fun _ -> S.alloc_with_index th0 ~index) in
+    if pinned then begin
+      S.start_op th1;
+      let anchor = S.alloc_with_index th1 ~index in
+      ignore (S.read th1 ~refno:0 (Atomic.make (S.handle_of th1 anchor)) : Handle.t)
+    end;
+    S.start_op th0;
+    Array.iter (S.retire th0) ids;
+    S.end_op th0;
+    ids
+  in
+  let ids = fill () in
+  S.flush th0 (* warm: the pass's buffers grow once *);
+  let words = ref 0.0 in
+  for _ = 1 to passes do
+    let ids = if pinned then ids else fill () in
+    let before = Gc.minor_words () in
+    S.flush th0;
+    words := !words +. (Gc.minor_words () -. before);
+    let kept = Array.for_all (fun id -> not (Mempool.Core.is_free pool id)) ids in
+    if kept <> pinned then
+      Alcotest.failf "%s: backlog %s by the pass" S.name (if kept then "kept" else "freed")
+  done;
+  let per_node = !words /. float_of_int (passes * backlog) in
+  if per_node >= 1.0 then
+    Alcotest.failf "%s: a pass allocates %.3f minor words per examined node (expected < 1)"
+      S.name per_node
+
 let () =
   Alcotest.run "alloc"
     [
@@ -140,4 +232,18 @@ let () =
           Alcotest.test_case "chain of 4 allocates ~0 words/cycle" `Quick
             (ring_chain_alloc_free 4);
         ] );
+      ( "nm-bst",
+        [ Alcotest.test_case "mp 50/50 updates < 2 words/op" `Quick nm_bst_updates_alloc ] );
+      ( "reclamation-pass",
+        List.map
+          (fun (name, smr, pinned) ->
+            Alcotest.test_case (name ^ " pass < 1 word/examined node") `Quick
+              (pass_alloc smr ~pinned))
+          [
+            ("mp", (module Mp.Margin_ptr : Smr_core.Smr_intf.S), true);
+            ("hp", (module Smr_schemes.Hp), false);
+            ("he", (module Smr_schemes.He), true);
+            ("ibr", (module Smr_schemes.Ibr), true);
+            ("ebr", (module Smr_schemes.Ebr), true);
+          ] );
     ]

@@ -213,6 +213,131 @@ let reclaim_coverage_boundary () =
   MP.end_op th1;
   MP.flush th0
 
+(* Reference coverage predicate (Appendix A items 6-7), evaluated per
+   node: the margin at [v] must contain the whole precision range of
+   [idx16], which must lie below the USE_HP idx16. [MP.cover_interval]
+   must agree with it. *)
+let precision_range = 1 lsl Handle.precision
+
+let covers margin v idx16 =
+  idx16 >= max 0 ((v - (margin / 2) + precision_range - 1) asr Handle.precision)
+  && idx16
+     <= min (Handle.idx16_mask - 1) ((v + (margin / 2) - (precision_range - 1)) asr Handle.precision)
+
+(* Publish a margin in [th]'s slot [refno] by reading a node of index
+   [index]. *)
+let publish_margin th ~refno index =
+  let a = MP.alloc_with_index th ~index in
+  ignore (MP.read th ~refno (Atomic.make (MP.handle_of th a)) : Handle.t)
+
+(* th1 publishes a margin around index [anchor]; th0 then retires one
+   node per index in [idxs] and flushes. Returns the nodes' freed flags,
+   in [idxs] order. *)
+let retire_under_margin ~anchor idxs =
+  let pool, smr = make () in
+  let th0 = MP.thread smr ~tid:0 and th1 = MP.thread smr ~tid:1 in
+  MP.start_op th1;
+  publish_margin th1 ~refno:0 anchor;
+  MP.start_op th0;
+  let ids = List.map (fun index -> MP.alloc_with_index th0 ~index) idxs in
+  List.iter (MP.retire th0) ids;
+  MP.flush th0;
+  MP.end_op th0;
+  let freed = List.map (Core.is_free pool) ids in
+  MP.end_op th1;
+  MP.flush th0;
+  freed
+
+(* A margin near index 0 is clipped at idx16 0: the bottom precision
+   ranges are covered, the first idx16 past the margin is not. *)
+let reclaim_coverage_clipped_low () =
+  let margin = 1 lsl 20 in
+  let v = precision_range / 2 (* the anchor's published value *) in
+  let hi16 = (v + (margin / 2) - (precision_range - 1)) asr Handle.precision in
+  Alcotest.(check (list bool)) "idx16 0 and hi kept, hi+1 freed" [ false; false; false; true ]
+    (retire_under_margin ~anchor:0x10
+       [ 0; precision_range - 1; (hi16 lsl 16) lor 0xFFFF; (hi16 + 1) lsl 16 ])
+
+(* A margin at the top of the index space is clipped just below the
+   USE_HP idx16: the highest margin-protectable idx16 is covered, a node
+   packing to the USE_HP idx16 never is. *)
+let reclaim_coverage_clipped_high () =
+  let top16 = Handle.idx16_mask - 1 in
+  Alcotest.(check (list bool)) "idx16 mask-1 kept, idx16 mask freed" [ false; false; true; true ]
+    (retire_under_margin ~anchor:(top16 lsl 16)
+       [ top16 lsl 16; Config.max_sentinel_index; Handle.idx16_mask lsl 16; Config.use_hp ])
+
+(* Two threads publish several margins each; the one margin covering the
+   target is the last entry of the scan's snapshot (highest tid, highest
+   refno), and a node covered by the first entry is kept too. *)
+let reclaim_coverage_last_margin () =
+  let pool, smr = make ~threads:3 () in
+  let th0 = MP.thread smr ~tid:0 and th1 = MP.thread smr ~tid:1 and th2 = MP.thread smr ~tid:2 in
+  MP.start_op th1;
+  MP.start_op th2;
+  List.iteri (fun refno -> publish_margin th1 ~refno) [ 0x1000_0000; 0x2000_0000; 0x3000_0000 ];
+  List.iteri (fun refno -> publish_margin th2 ~refno) [ 0x5000_0000; 0x6000_0000; 0x7000_0000 ];
+  Alcotest.(check int) "covering margin in th2's last slot" (0x7000_0000 + 0x8000)
+    (MP.Debug.mp_slot smr ~tid:2 ~refno:2);
+  MP.start_op th0;
+  let last = MP.alloc_with_index th0 ~index:0x7000_1234 in
+  let first = MP.alloc_with_index th0 ~index:0x1000_4321 in
+  let none = MP.alloc_with_index th0 ~index:0x4000_0000 in
+  List.iter (MP.retire th0) [ last; first; none ];
+  MP.flush th0;
+  MP.end_op th0;
+  Alcotest.(check bool) "covered by the last margin: kept" false (Core.is_free pool last);
+  Alcotest.(check bool) "covered by the first margin: kept" false (Core.is_free pool first);
+  Alcotest.(check bool) "covered by none: freed" true (Core.is_free pool none);
+  MP.end_op th1;
+  MP.end_op th2;
+  MP.flush th0;
+  Alcotest.(check bool) "freed once the margins clear" true (Core.is_free pool last)
+
+(* A covering margin whose owner announced an epoch after the node's
+   death cannot protect it: the node is freed. A node born and retired
+   in the owner's epoch ([birth = death = e], the closed interval's edge)
+   stays kept. *)
+let reclaim_coverage_epoch_after_death () =
+  let pool, smr = make ~threads:3 () in
+  let th0 = MP.thread smr ~tid:0 and th1 = MP.thread smr ~tid:1 and th2 = MP.thread smr ~tid:2 in
+  MP.start_op th2;
+  publish_margin th2 ~refno:0 0x3000_0000;
+  MP.start_op th0;
+  let dead_early = MP.alloc_with_index th0 ~index:0x3000_0100 in
+  MP.retire th0 dead_early;
+  MP.flush th0;
+  Alcotest.(check bool) "kept while th2's epoch spans it" false (Core.is_free pool dead_early);
+  MP.end_op th0;
+  Smr_core.Epoch.advance (MP.Debug.epoch smr);
+  MP.start_op th1;
+  publish_margin th1 ~refno:0 0x3000_0000;
+  MP.end_op th2;
+  MP.start_op th0;
+  let same_epoch = MP.alloc_with_index th0 ~index:0x3000_0200 in
+  MP.retire th0 same_epoch;
+  MP.flush th0;
+  MP.end_op th0;
+  Alcotest.(check bool) "owner epoch after death: freed" true (Core.is_free pool dead_early);
+  Alcotest.(check bool) "birth = death = owner epoch: kept" false (Core.is_free pool same_epoch);
+  MP.end_op th1;
+  MP.flush th0
+
+(* The shared coverage function agrees with the reference predicate on
+   random idx16s and on both edges of its interval. *)
+let qcheck_cover_interval =
+  QCheck.Test.make ~name:"cover_interval matches the reference predicate" ~count:2_000
+    QCheck.(
+      triple (int_range (1 lsl 16) (1 lsl 32)) (int_bound 0xFFFF_FFFF)
+        (int_bound Handle.idx16_mask))
+    (fun (margin, v, idx16) ->
+      let lo = [| 0 |] and hi = [| 0 |] in
+      MP.cover_interval ~margin v lo hi 0;
+      let inside x = x >= lo.(0) && x <= hi.(0) in
+      List.for_all
+           (fun x -> inside x = covers margin v x)
+           [ idx16; lo.(0) - 1; lo.(0); hi.(0); hi.(0) + 1 ])
+
 (* unprotect is a no-op by design: the margin must keep protecting nodes
    accessed earlier in the operation (paper §4.3). *)
 let unprotect_keeps_margin () =
@@ -303,6 +428,13 @@ let () =
           Alcotest.test_case "epoch filter" `Quick epoch_filter_limits_margin_protection;
           Alcotest.test_case "end_op clears slots" `Quick end_op_clears_slots;
           Alcotest.test_case "reclaim coverage boundary" `Quick reclaim_coverage_boundary;
+          Alcotest.test_case "coverage clipped at idx16 0" `Quick reclaim_coverage_clipped_low;
+          Alcotest.test_case "coverage clipped below USE_HP" `Quick reclaim_coverage_clipped_high;
+          Alcotest.test_case "covering margin last in snapshot" `Quick
+            reclaim_coverage_last_margin;
+          Alcotest.test_case "owner epoch after death frees" `Quick
+            reclaim_coverage_epoch_after_death;
+          QCheck_alcotest.to_alcotest qcheck_cover_interval;
           Alcotest.test_case "unprotect keeps margin" `Quick unprotect_keeps_margin;
         ] );
     ]

@@ -29,6 +29,82 @@ let metadata_words () =
   Alcotest.(check int) "handle id" id (Handle.id h);
   Alcotest.(check int) "handle idx16" (Handle.idx16_of_index 12345) (Handle.idx16 h)
 
+(* Each slot's metadata is one record in an interleaved per-arena array,
+   so a slot's words sit next to its neighbours'. Adjacent slots, and
+   the last slot of arena 0 beside the first of arena 1, each carry
+   distinct index/birth/death values that must survive every neighbour
+   being rewritten, allocated, retired and freed. *)
+let metadata_layout () =
+  let capacity = 16 in
+  let p = Mempool.create ~capacity ~threads:1 ~max_arenas:2 (fun i -> ref i) in
+  let c = Mempool.core p in
+  let ids = Array.init (2 * capacity) (fun _ -> Mempool.alloc p ~tid:0) in
+  Alcotest.(check int) "second arena attached" 2 (Core.attached_arenas c);
+  let base1 = 1 lsl Core.off_bits c in
+  let subjects = [ 3; 4; 5; capacity - 1; base1; base1 + 1 ] in
+  let value k id = (k * 1_000_000) + id in
+  List.iter
+    (fun id ->
+      Core.set_index c id (value 1 id);
+      Core.set_birth c id (value 2 id);
+      Core.set_death c id (value 3 id))
+    subjects;
+  let incs = List.map (Core.incarnation c) subjects in
+  let neighbours = List.filter (fun id -> not (List.mem id subjects)) (Array.to_list ids) in
+  for _ = 1 to 3 do
+    List.iter
+      (fun id ->
+        Core.set_index c id (-1);
+        Core.set_birth c id (-2);
+        Core.set_death c id (-3);
+        Core.mark_retired c id;
+        Mempool.free p ~tid:0 id)
+      neighbours;
+    List.iter (fun _ -> ignore (Mempool.alloc p ~tid:0 : int)) neighbours
+  done;
+  List.iter2
+    (fun id inc ->
+      let name what = Printf.sprintf "slot %d %s" id what in
+      Alcotest.(check int) (name "state") Mempool.state_live (Core.state c id);
+      Alcotest.(check int) (name "index") (value 1 id) (Core.index c id);
+      Alcotest.(check int) (name "birth") (value 2 id) (Core.birth c id);
+      Alcotest.(check int) (name "death") (value 3 id) (Core.death c id);
+      Alcotest.(check int) (name "incarnation") inc (Core.incarnation c id))
+    subjects incs;
+  List.iter
+    (fun id ->
+      Alcotest.(check int) (Printf.sprintf "neighbour %d freed thrice" id) 3
+        (Core.incarnation c id))
+    neighbours
+
+(* A handle minted before its arena drained, detached and re-attached
+   still fails validation against the slot's handle once the slot is
+   live again: the metadata record (and with it the incarnation clock)
+   outlives the detach. *)
+let handle_stale_across_reattach () =
+  let capacity = 16 in
+  let c = Core.create ~capacity ~threads:1 ~max_arenas:2 () in
+  let ids = Array.init (capacity + 1) (fun _ -> Core.alloc c ~tid:0) in
+  let probe = 1 lsl Core.off_bits c in
+  Alcotest.(check bool) "probe in arena 1" true (Array.mem probe ids);
+  let stale = Core.handle c probe in
+  Array.iter (fun id -> Core.free c ~tid:0 id) ids;
+  Core.release_local c ~tid:0;
+  Alcotest.(check (option int)) "drain arena 1" (Some 1) (Core.request_shrink c);
+  (match Core.detach_ready c with
+  | None -> Alcotest.fail "all slots parked: detach must be ready"
+  | Some (token, _, _) ->
+    Core.set_detach_stamp c ~token 0;
+    Alcotest.(check bool) "detach completes" true (Core.complete_detach c token));
+  Alcotest.(check int) "arena 1 detached" 1 (Core.attached_arenas c);
+  let again = Array.init (2 * capacity) (fun _ -> Core.alloc c ~tid:0) in
+  Alcotest.(check int) "arena 1 re-attached" 2 (Core.attached_arenas c);
+  Alcotest.(check bool) "probe live again" true (Array.mem probe again);
+  Alcotest.(check bool) "stale handle fails validation" false
+    (Handle.equal stale (Core.handle c probe));
+  Alcotest.(check bool) "incarnation moved on" true
+    (Core.incarnation c probe > Handle.inc stale)
+
 let index_reset_on_alloc () =
   let p = mk () in
   let c = Mempool.core p in
@@ -155,12 +231,14 @@ let concurrent_alloc_free_stress () =
   let domains =
     Array.init threads (fun tid ->
         Domain.spawn (fun () ->
-            let held = ref [] in
+            let held = ref [] and allocs = ref 0 in
             let rng = Mp_util.Rng.split ~seed:99 ~tid in
             for _ = 1 to 50_000 do
               if Mp_util.Rng.bool rng && List.length !held < 64 then (
                 match Mempool.alloc p ~tid with
-                | id -> held := id :: !held
+                | id ->
+                  held := id :: !held;
+                  incr allocs
                 | exception Mempool.Exhausted -> ())
               else
                 match !held with
@@ -169,12 +247,15 @@ let concurrent_alloc_free_stress () =
                   Mempool.free p ~tid id;
                   held := rest
             done;
-            List.iter (fun id -> Mempool.free p ~tid id) !held))
+            List.iter (fun id -> Mempool.free p ~tid id) !held;
+            !allocs))
   in
-  Array.iter Domain.join domains;
+  let allocs = Array.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
   Alcotest.(check int) "quiescent live count" 0 (Mempool.live_count p);
   Alcotest.(check int) "allocs = frees" (Core.alloc_count (Mempool.core p))
-    (Core.free_count (Mempool.core p))
+    (Core.free_count (Mempool.core p));
+  (* The per-thread counts lose no update across domains. *)
+  Alcotest.(check int) "alloc count exact" allocs (Core.alloc_count (Mempool.core p))
 
 (* Producer/consumer pipe across the chain-batched transfer path: tid 0
    only allocs (drains chains from the global stack), tid 1 only frees
@@ -318,6 +399,8 @@ let () =
         [
           Alcotest.test_case "alloc/free" `Quick alloc_free_roundtrip;
           Alcotest.test_case "metadata" `Quick metadata_words;
+          Alcotest.test_case "metadata layout" `Quick metadata_layout;
+          Alcotest.test_case "stale handle across re-attach" `Quick handle_stale_across_reattach;
           Alcotest.test_case "index reset" `Quick index_reset_on_alloc;
           Alcotest.test_case "incarnation" `Quick incarnation_bumps;
           Alcotest.test_case "exhaustion" `Quick exhaustion;
